@@ -760,6 +760,7 @@ def _records_from_store(store, suite: Optional[str]) -> Dict[str, List[SolveReco
             # degrade to empty dicts (the profile table renders them as "-").
             phase_seconds=dict(entry.get("phase_seconds") or {}),
             phase_counts=dict(entry.get("phase_counts") or {}),
+            closure_compositions=int(entry.get("closure_compositions") or 0),
         )
         goals = by_suite.setdefault(suite_name, {})
         # Several configs may have attempted the goal; keep the best outcome

@@ -247,6 +247,8 @@ def solve_task(problem, task: dict, hook: Optional[Callable] = None) -> dict:
             phase: round(total, 6) for phase, total in stats.phase_seconds.items()
         }
         wire["phase_counts"] = dict(stats.phase_counts)
+    if stats.closure_compositions:
+        wire["closure_compositions"] = stats.closure_compositions
     trace_id = str(task.get("trace") or "")
     if trace_id:
         # Spans cross the process boundary the same way everything else does:

@@ -182,6 +182,9 @@ OUTCOME_FIELDS = (
     # with empty dicts and the report tables render "-" for them).
     "phase_seconds",
     "phase_counts",
+    # Size-change compositions of the attempt (absence-benign alike: the
+    # layer's work counter; older lines replay as 0 and render as "-").
+    "closure_compositions",
     # Deliberately absent: "queued_seconds" and "spans".  Queue wait is a
     # property of one *run*'s scheduling (a replayed goal waited 0 in the
     # replaying request — persisting the historical wait would poison the

@@ -168,6 +168,7 @@ def solve_suite(
             # empty dicts, which every report table renders as "-".
             phase_seconds=dict(outcome.get("phase_seconds") or {}),
             phase_counts=dict(outcome.get("phase_counts") or {}),
+            closure_compositions=int(outcome.get("closure_compositions") or 0),
         )
         spent_on_store = store_seconds.get(state.index)
         if spent_on_store:

@@ -556,6 +556,10 @@ def phase_profile_table(result: SuiteResult) -> str:
         )
     rows.append(("total accounted", f"{accounted:.3f}", "100.0%", "-", "-"))
     table = format_table(("phase", "seconds", "share", "entries", "µs/entry"), rows)
+    # The closure's work counter, beside its time (the ``soundness`` row).
+    compositions = sum(record.closure_compositions for record in result.records)
+    shown = f"{compositions:,}" if compositions else "-"
+    table += f"\nsize-change compositions: {shown}"
     if profiled < attempted:
         table += (
             f"\nprofiled records: {profiled}/{attempted} "

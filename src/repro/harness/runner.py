@@ -115,6 +115,10 @@ class SolveRecord:
     """Hot-callsite counters: entries per phase, alongside
     :attr:`phase_seconds`."""
 
+    closure_compositions: int = 0
+    """Size-change graph compositions the attempt's closure performed (0 for
+    records replayed from store lines that predate the field)."""
+
     @property
     def proved(self) -> bool:
         return self.status == "proved"
@@ -290,6 +294,7 @@ def run_suite(
                 hint_steps=outcome.statistics.hint_steps,
                 phase_seconds=dict(outcome.statistics.phase_seconds),
                 phase_counts=dict(outcome.statistics.phase_counts),
+                closure_compositions=outcome.statistics.closure_compositions,
             )
         result.records.append(record)
         if progress is not None:

@@ -29,7 +29,8 @@ def reference_hot_paths() -> Iterator[None]:
     Patches, in every module that imported them by name:
 
     * :class:`~repro.sizechange.closure.IncrementalClosure` → the reference
-      closure (per-call index dicts, graph-object membership, no memo);
+      closure (the full closure with no subsumption pruning, per-call index
+      dicts, graph-object membership, no memo);
     * :func:`~repro.core.matching.match_or_none` → the tuple-stack version
       with the defensive ``Substitution`` copy;
     * :meth:`~repro.core.substitution.Substitution.apply` → the version

@@ -249,6 +249,33 @@ class TestPhaseProfileRoundTrip:
             assert after_phases == before_phases
             assert after.phase_counts == before.phase_counts
 
+    def test_closure_compositions_survive_the_store_round_trip(self, problems, tmp_path):
+        from repro.harness import phase_profile_table
+
+        path = str(tmp_path / "store.jsonl")
+        config = ProverConfig(timeout=2.0, emit_proofs=True)
+        cold = run_suite_parallel(problems, config, jobs=1, store=path)
+        assert all(r.closure_compositions > 0 for r in cold.records)
+        warm = run_suite_parallel(problems, config, jobs=1, store=path)
+        assert all(r.cached for r in warm.records)
+        assert [r.closure_compositions for r in warm.records] == [
+            r.closure_compositions for r in cold.records
+        ]
+        assert [r.certificate for r in warm.records] == [r.certificate for r in cold.records]
+        total = sum(r.closure_compositions for r in cold.records)
+        assert f"size-change compositions: {total:,}" in phase_profile_table(warm)
+
+        # Lines written before the field existed replay as 0, rendered "-".
+        with open(path, encoding="utf-8") as handle:
+            lines = [json.loads(line) for line in handle if line.strip()]
+        with open(path, "w", encoding="utf-8") as handle:
+            for entry in lines:
+                entry.pop("closure_compositions", None)
+                handle.write(json.dumps(entry) + "\n")
+        old = run_suite_parallel(problems, config, jobs=1, store=path)
+        assert all(r.cached and r.closure_compositions == 0 for r in old.records)
+        assert "size-change compositions: -" in phase_profile_table(old)
+
     def test_pre_profiler_store_lines_replay_benignly(self, problems, tmp_path):
         from repro.harness import hot_symbol_table, phase_profile_table
 

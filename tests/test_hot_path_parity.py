@@ -7,7 +7,10 @@ construction-independent evidence:
 
 * **Hypothesis differentials**: the optimised implementations against the
   verbatim pre-optimisation copies (:mod:`repro.core.reference`,
-  :mod:`repro.sizechange.reference`) on random inputs;
+  :mod:`repro.sizechange.reference`) on random inputs — for the closure,
+  which keeps only subsumption-minimal graphs, that means the same verdicts
+  and a kept set that covers the full closure, plus LIFO add/undo scripts
+  checked against the from-scratch :func:`closure_of`;
 * **pinned full-suite parity**: the IsaPlanner + mutual suites under a
   deterministic node budget (``dfs``, wall clock off) must reproduce a
   hard-coded per-goal (status, node-count) signature — under compiled AND
@@ -31,7 +34,7 @@ from repro.core.types import DataTy
 from repro.harness.runner import run_suite
 from repro.perf import reference_hot_paths
 from repro.search.config import ProverConfig
-from repro.sizechange.closure import IncrementalClosure
+from repro.sizechange.closure import IncrementalClosure, closure_of, find_violation
 from repro.sizechange.graph import SizeChangeGraph
 from repro.sizechange.reference import (
     ReferenceIncrementalClosure,
@@ -178,40 +181,128 @@ class TestClosureDifferential:
     @settings(deadline=None, max_examples=30)
     @given(mixed_graphs)
     def test_incremental_closure_agrees_with_reference(self, graphs):
+        # The shipped closure keeps only the subsumption-minimal graphs, so
+        # its graph set and composition count are smaller than the
+        # reference's; what must agree is every verdict, under the prover's
+        # discipline of undoing an add that reports a violation.
         fast = IncrementalClosure()
         slow = ReferenceIncrementalClosure()
         for graph in graphs:
             fast_result = fast.add(graph)
             slow_result = slow.add(graph)
             assert (fast_result.violation is None) == (slow_result.violation is None)
-            assert frozenset(fast_result.added) == frozenset(slow_result.added)
-            assert frozenset(fast.graphs()) == frozenset(slow.graphs())
+            if fast_result.violation is not None:
+                fast.remove(fast_result.added)
+                slow.remove(slow_result.added)
+            kept = frozenset(fast.graphs())
+            full = frozenset(slow.graphs())
+            assert kept <= full
+            assert all(any(_subsumes(k, g) for k in kept) for g in full)
         assert fast.is_sound() == slow.is_sound()
-        assert fast.compositions_performed == slow.compositions_performed
 
     @settings(deadline=None, max_examples=30)
     @given(mixed_graphs, graphs_0_0)
     def test_closure_undo_agrees_with_reference(self, prefix, probe):
         # The prover's chronological trail: add, record the consequences,
-        # remove them again.  The memoised closure must land in the same
-        # state as the reference.
+        # remove them again.  Both closures must land back where they were.
         fast = IncrementalClosure()
         slow = ReferenceIncrementalClosure()
         for graph in prefix:
             fast.add(graph)
             slow.add(graph)
+        fast_before = frozenset(fast.graphs())
+        slow_before = frozenset(slow.graphs())
         fast_result = fast.add(probe)
         slow_result = slow.add(probe)
         fast.remove(fast_result.added)
         slow.remove(slow_result.added)
-        assert frozenset(fast.graphs()) == frozenset(slow.graphs())
+        assert frozenset(fast.graphs()) == fast_before
+        assert frozenset(slow.graphs()) == slow_before
         # Re-adding after the undo must behave identically too (this is where
-        # a stale memo or key-set entry would show).
+        # a stale memo, key-set entry or unrestored eviction would show).
         fast_again = fast.add(probe)
         slow_again = slow.add(probe)
-        assert (fast_again.violation is None) == (slow_again.violation is None)
-        assert frozenset(fast_again.added) == frozenset(slow_again.added)
-        assert frozenset(fast.graphs()) == frozenset(slow.graphs())
+        assert (fast_again.violation is None) == (fast_result.violation is None)
+        assert (slow_again.violation is None) == (slow_result.violation is None)
+        assert frozenset(fast_again.added) == frozenset(fast_result.added)
+
+
+def _subsumes(small, large):
+    """``small ⊑ large``, spelled out edge by edge (independently of the
+    closure's own weakened-edge-set test)."""
+    if (small.source, small.target) != (large.source, large.target):
+        return False
+    return all(
+        (x, y, True) in large.edges or (not dec and (x, y, False) in large.edges)
+        for x, y, dec in small.edges
+    )
+
+
+def _minimal(graphs):
+    return {g for g in graphs if not any(h != g and _subsumes(h, g) for h in graphs)}
+
+
+graphs_1_1 = st.builds(lambda e: _graph(1, 1, e), _edge_lists)
+graphs_1_2 = st.builds(lambda e: _graph(1, 2, e), _edge_lists)
+graphs_2_0 = st.builds(lambda e: _graph(2, 0, e), _edge_lists)
+_any_graph = graphs_0_1 | graphs_1_0 | graphs_0_0 | graphs_1_1 | graphs_1_2 | graphs_2_0
+
+#: A LIFO script for the closure: a graph to add, or ``None`` to undo the
+#: most recent add still in effect (a no-op when there is none).
+_scripts = st.lists(st.one_of(_any_graph, st.none()), min_size=1, max_size=10)
+
+
+class TestAntichainClosure:
+    """The antichain closure against the from-scratch full closure."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(_scripts)
+    def test_lifo_script_matches_full_closure(self, script):
+        closure = IncrementalClosure()
+        live = []  # (graph, AdditionResult) per add still in effect
+        for step in script:
+            if step is None:
+                if live:
+                    closure.remove(live.pop()[1].added)
+            else:
+                result = closure.add(step)
+                live.append((step, result))
+                # Every add reports a violation exactly when the full
+                # closure of everything added so far has one.
+                full = closure_of(graph for graph, _ in live)
+                assert (result.violation is None) == (find_violation(full) is None)
+                if result.violation is not None:
+                    assert result.violation in full
+                    assert result.violation.is_idempotent()
+                    assert not result.violation.has_decreasing_self_edge()
+            full = closure_of(graph for graph, _ in live)
+            kept = set(closure.graphs())
+            # The kept set is a subset of the full closure that covers it
+            # under ⊑ — which pins it to the full closure's minimal graphs.
+            assert kept <= full
+            assert all(any(_subsumes(k, g) for k in kept) for g in full)
+            assert kept == _minimal(full)
+            assert closure.is_sound() == (find_violation(full) is None)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(_any_graph, max_size=6), _any_graph)
+    def test_undo_restores_exact_state_and_readd_repeats(self, prefix, probe):
+        closure = IncrementalClosure()
+        for graph in prefix:
+            closure.add(graph)
+        before = set(closure.graphs())
+        sound_before = closure.is_sound()
+        first = closure.add(probe)
+        after = set(closure.graphs())
+        closure.remove(first.added)
+        # Graphs evicted by the add come back; graphs the add kept and then
+        # evicted itself do not.
+        assert set(closure.graphs()) == before
+        assert closure.is_sound() == sound_before
+        again = closure.add(probe)
+        assert set(closure.graphs()) == after
+        assert (again.violation is None) == (first.violation is None)
+        assert set(again.added) == set(first.added)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,22 @@ def graph(source, target, edges):
     return SizeChangeGraph.make(source, target, edges)
 
 
+def subsumes(small, large):
+    """``small ⊑ large``: same endpoints, and every edge of ``small`` is in
+    ``large`` with a label at least as strong."""
+    if (small.source, small.target) != (large.source, large.target):
+        return False
+    return all(
+        (x, y, True) in large.edges or (not dec and (x, y, False) in large.edges)
+        for x, y, dec in small.edges
+    )
+
+
+def minimal_graphs(graphs):
+    """The ⊑-minimal members of ``graphs``."""
+    return {g for g in graphs if not any(h != g and subsumes(h, g) for h in graphs)}
+
+
 class TestGraphBasics:
     def test_make_normalises_duplicate_edges(self):
         g = graph(0, 1, [("x", "y", NO_DECREASE), ("x", "y", DECREASE)])
@@ -110,7 +126,13 @@ class TestIncrementalClosure:
         for g in graphs:
             result = incremental.add(g)
             assert result.violation is None
-        assert set(incremental.graphs()) == closure_of(graphs)
+        # The incremental closure keeps exactly the subsumption-minimal
+        # graphs of the from-scratch closure.
+        full = closure_of(graphs)
+        kept = set(incremental.graphs())
+        assert kept <= full
+        assert kept == minimal_graphs(full)
+        assert all(any(subsumes(k, g) for k in kept) for g in full)
 
     def test_violation_reported_when_cycle_closes(self):
         incremental = IncrementalClosure()
@@ -127,6 +149,62 @@ class TestIncrementalClosure:
         incremental.remove(second.added)
         assert set(incremental.graphs()) == before
         assert incremental.is_sound()
+
+    def test_smaller_graph_evicts_and_undo_restores(self):
+        incremental = IncrementalClosure()
+        large = graph(0, 1, [("x", "y", NO_DECREASE), ("x", "z", NO_DECREASE)])
+        small = graph(0, 1, [("x", "y", NO_DECREASE)])
+        incremental.add(large)
+        result = incremental.add(small)
+        assert result.added == (small,)
+        assert set(incremental.graphs()) == {small}
+        incremental.remove(result.added)
+        assert set(incremental.graphs()) == {large}
+
+    def test_subsumed_graph_is_not_kept(self):
+        incremental = IncrementalClosure()
+        small = graph(0, 1, [("x", "y", NO_DECREASE)])
+        incremental.add(small)
+        result = incremental.add(graph(0, 1, [("x", "y", DECREASE), ("x", "z", NO_DECREASE)]))
+        assert result.added == ()
+        assert set(incremental.graphs()) == {small}
+
+    def test_graph_evicted_by_its_own_addition_is_not_restored(self):
+        # The edge graph is kept first, then evicted by its composition with
+        # the identity-like self graph at vertex 1, all within one add.
+        incremental = IncrementalClosure()
+        loop = graph(1, 1, [("y", "y", NO_DECREASE)])
+        incremental.add(loop)
+        edge = graph(0, 1, [("x", "y", NO_DECREASE), ("x", "z", NO_DECREASE)])
+        result = incremental.add(edge)
+        composed = graph(0, 1, [("x", "y", NO_DECREASE)])
+        assert result.added == (composed,)
+        assert edge not in incremental
+        incremental.remove(result.added)
+        assert set(incremental.graphs()) == {loop}
+
+    def test_violation_found_through_idempotent_power_of_kept_graph(self):
+        # P is not idempotent and has no decreasing self edge; its square is
+        # idempotent (the full closure's violator) but P subsumes it, so the
+        # square is never kept.  The check must look at P^ω, not only at the
+        # idempotent graphs it keeps.
+        p = graph(0, 0, [("x", "y", NO_DECREASE), ("y", "x", NO_DECREASE), ("y", "y", NO_DECREASE)])
+        assert not p.is_idempotent()
+        assert find_violation(closure_of([p])) is not None
+        incremental = IncrementalClosure()
+        result = incremental.add(p)
+        assert set(incremental.graphs()) == {p}
+        assert result.violation is not None
+        assert result.violation.is_idempotent()
+        assert not result.violation.has_decreasing_self_edge()
+        assert result.violation in closure_of([p])
+
+    def test_remove_must_undo_the_latest_add(self):
+        incremental = IncrementalClosure()
+        first = incremental.add(graph(0, 1, [("x", "y", NO_DECREASE)]))
+        incremental.add(graph(1, 2, [("y", "z", NO_DECREASE)]))
+        with pytest.raises(ValueError):
+            incremental.remove(first.added)
 
     def test_duplicate_addition_is_noop(self):
         incremental = IncrementalClosure()
