@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from conftest import print_report  # shared benchmark helpers
 from stats import Sample, format_sample, measure_paired
 
+from repro.engine import WorkerPool
 from repro.proofs.certificate import canonical_json
 from repro.service import ProofService, ServiceConfig
 
@@ -171,20 +172,42 @@ def _submit_from_clients(service: ProofService, clients: int) -> List[int]:
     return spawns
 
 
+class SerializedService(ProofService):
+    """The pre-pool request path: the baseline of the concurrent-clients gate.
+
+    Submits take a lock, so one runs at a time, and each runs on a fresh
+    one-worker pool that is closed when the submit ends.  Every request
+    therefore pays its own worker spawn and in-worker theory elaboration, as
+    requests did before the service kept a resident pool.
+    """
+
+    def __init__(self, config: ServiceConfig):
+        super().__init__(config)
+        self._serial = threading.Lock()
+
+    def submit(self, request: dict, emit, trace: str = "") -> dict:
+        with self._serial:
+            resident, self.pool = self.pool, WorkerPool(
+                jobs=1, worker_hook=self.config.worker_hook, tracer=self.tracer
+            )
+            try:
+                return super().submit(request, emit, trace=trace)
+            finally:
+                self.pool.close()
+                self.pool = resident
+
+
 def run_concurrent_vs_serialized() -> Dict[str, object]:
     """Aggregate cold-solve throughput: 4 concurrent clients, pool vs lock.
 
     Both arms are resident services with *no store* — every submission is a
-    genuine cold solve.  The baseline is the pre-pool request path
-    (``serialize_submits=True``: one submit at a time, a fresh scheduler and
-    worker process per request); the candidate is the shared resident pool,
-    where concurrent sessions interleave on warm workers that keep their
-    elaborated theories.  Paired wall-clock per "all four clients answered"
+    genuine cold solve.  The baseline is :class:`SerializedService` (one
+    submit at a time, a fresh worker process per request); the candidate is
+    the shared resident pool, where concurrent sessions interleave on warm
+    workers that keep their elaborated theories.  Paired wall-clock per "all four clients answered"
     round; the assertion fires on the ratio's 95% CI lower bound.
     """
-    serialized = ProofService(
-        ServiceConfig(timeout=TIMEOUT, jobs=1, serialize_submits=True)
-    )
+    serialized = SerializedService(ServiceConfig(timeout=TIMEOUT, jobs=1))
     concurrent = ProofService(ServiceConfig(timeout=TIMEOUT, jobs=1))
     concurrent_spawns: List[int] = []
     try:

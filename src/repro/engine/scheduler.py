@@ -1,12 +1,15 @@
-"""Multiprocess job scheduler: shard proof attempts across a worker pool.
+"""The worker pool: shard proof attempts across resident solver processes.
 
 The paper's evaluation is embarrassingly parallel — every goal is attempted
-independently under a wall-clock budget — so the scheduler's job is purely
-throughput and robustness:
+independently under a wall-clock budget — so the pool's job is purely
+throughput and robustness.  One engine serves every caller: a batch suite
+runs as the single session of a pool built for it
+(:func:`repro.engine.suite.solve_suite`), and the proof service keeps one pool
+resident across requests.
 
 * **Sharding.**  ``jobs`` worker processes each hold one task at a time; the
-  parent dispatches demand-driven (a task leaves the pending deque only when a
-  worker is idle), so cancellation and deadlines stay entirely in the parent.
+  parent dispatches demand-driven (a task leaves its session's queue only when
+  a worker is idle), so cancellation and deadlines stay entirely in the parent.
 * **Crash isolation.**  A worker dying on one goal (segfault, ``os._exit``,
   OOM kill) is detected by liveness polling; the goal in flight is recorded as
   failed with the exit code in the reason, the worker is respawned, and the
@@ -18,10 +21,10 @@ throughput and robustness:
 
 Tasks carry only primitives (strings, numbers, dicts) across process
 boundaries: a worker never unpickles a term.  Problems are re-resolved inside
-each worker by a *resolver* — by default the benchmark registry
-(:data:`DEFAULT_RESOLVER`) — so hash-consed terms stay within the bank of the
-process that built them.  Lemma hints travel as equation *source text* and are
-re-parsed against the worker's own program.
+each worker by the *resolver* each task names — by default the benchmark
+registry (:data:`DEFAULT_RESOLVER`) — so hash-consed terms stay within the bank
+of the process that built them.  Lemma hints travel as equation *source text*
+and are re-parsed against the worker's own program.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from ..search.phases import phase_intervals
 
 __all__ = [
     "Task",
-    "Scheduler",
     "WorkerPool",
     "PoolSession",
     "DEFAULT_RESOLVER",
@@ -82,7 +84,7 @@ class Task:
     """One unit of work: attempt one goal under one configuration."""
 
     uid: int
-    """Unique id of the task within one scheduler run."""
+    """Unique id of the task within one session run."""
 
     index: int
     """Position of the goal in the input problem sequence."""
@@ -102,7 +104,7 @@ class Task:
     program: str = ""
     """Fingerprint of the program the caller expects the resolver to rebuild.
 
-    Empty disables the check (direct scheduler users without a program in
+    Empty disables the check (direct pool users without a program in
     hand); when set, a worker whose resolver produced a *different* program
     for ``suite/name`` fails the task instead of silently solving — and
     persisting — an outcome for the wrong program.
@@ -290,41 +292,16 @@ def solve_task(problem, task: dict, hook: Optional[Callable] = None) -> dict:
     return wire
 
 
-def _worker_main(slot: int, resolver_spec: Spec, hook_spec: Optional[Spec], task_queue, result_queue) -> None:
-    """The worker process loop: resolve problems once, then solve until sentinel."""
-    problems: Dict[str, object] = {}
-    hook: Optional[Callable] = None
-    init_error = ""
-    try:
-        resolver = load_spec(resolver_spec)
-        problems = {f"{p.suite}/{p.name}": p for p in resolver()}
-        hook = load_spec(hook_spec)
-    except Exception as error:  # noqa: BLE001 - reported per task below
-        init_error = f"worker initialisation failed: {error!r}"
-    while True:
-        task = task_queue.get()
-        if task is None:
-            break
-        if init_error:
-            outcome = {"status": "failed", "reason": init_error}
-        else:
-            try:
-                outcome = solve_task(problems.get(task["key"]), task, hook)
-            except Exception as error:  # noqa: BLE001 - a bad goal must not kill the worker
-                outcome = {"status": "failed", "reason": f"worker error: {error!r}"}
-        result_queue.put((slot, task["uid"], outcome))
-
-
 _POOL_THEORY_CAPACITY = 8
-"""How many elaborated theories a pool worker keeps warm (LRU beyond that)."""
+"""How many elaborated theories a worker keeps warm (LRU beyond that)."""
 
 
 class _WorkerTheories:
     """Worker-side LRU of elaborated theories, one :class:`TermBank` each.
 
-    A pool worker outlives any single request, so it cannot bake one resolver
-    in at spawn the way :func:`_worker_main` does.  Instead each task carries
-    its resolver spec and the worker elaborates on first use, caching the
+    A worker outlives any single request, so it cannot bake one resolver in
+    at spawn.  Instead each task carries its resolver spec and the worker
+    elaborates on first use, caching the
     resulting bank + program + problems under the spec's *base key* (theory
     identity without per-request conjectures).  Keeping each theory in a
     private bank means eviction actually frees its terms, and solving under
@@ -386,39 +363,44 @@ class _WorkerTheories:
         return entry["problems"].get(task["key"])
 
 
-def _pool_worker_main(slot: int, resolver_spec: Spec, hook_spec: Optional[Spec], task_queue, result_queue) -> None:
-    """The shared-pool worker loop: resolve theories on demand, reuse across tasks.
+def _worker_loop(slot: int, hook_spec: Optional[Spec], task_queue, result_queue) -> None:
+    """The worker process loop: resolve theories on demand, reuse across tasks.
 
-    Same wire protocol as :func:`_worker_main`, but the theory is not fixed at
-    spawn: each task names its resolver (``task["resolver"]``, falling back to
-    ``resolver_spec``), and elaborated theories persist in a
-    :class:`_WorkerTheories` cache across tasks — and across *requests*, which
-    is where the warm pool's latency win comes from.
+    Each task names its resolver (``task["resolver"]``), and elaborated
+    theories persist in a :class:`_WorkerTheories` cache across tasks — and
+    across *requests*, which is where the resident pool's latency win comes
+    from.  A resolver that cannot be loaded or elaborated fails the task with
+    a "worker initialisation failed" reason; an error while solving is a
+    "worker error".  Neither kills the worker.
     """
+    from ..core.interning import use_bank  # deferred: worker import cost
+
     theories = _WorkerTheories()
     hook: Optional[Callable] = None
-    init_error = ""
+    hook_error = ""
     try:
         hook = load_spec(hook_spec)
     except Exception as error:  # noqa: BLE001 - reported per task below
-        init_error = f"worker initialisation failed: {error!r}"
-    from ..core.interning import use_bank
-
+        hook_error = f"worker initialisation failed: {error!r}"
     while True:
         task = task_queue.get()
         if task is None:
             break
-        if init_error:
-            outcome = {"status": "failed", "reason": init_error}
+        if hook_error:
+            outcome = {"status": "failed", "reason": hook_error}
         else:
             try:
-                spec = task.get("resolver") or resolver_spec or DEFAULT_RESOLVER
+                spec = task.get("resolver") or DEFAULT_RESOLVER
                 entry = theories.entry_for(spec)
                 problem = theories.problem_for(spec, entry, task)
-                with use_bank(entry["bank"]):
-                    outcome = solve_task(problem, task, hook)
-            except Exception as error:  # noqa: BLE001 - a bad goal must not kill the worker
-                outcome = {"status": "failed", "reason": f"worker error: {error!r}"}
+            except Exception as error:  # noqa: BLE001 - reported as this task's outcome
+                outcome = {"status": "failed", "reason": f"worker initialisation failed: {error!r}"}
+            else:
+                try:
+                    with use_bank(entry["bank"]):
+                        outcome = solve_task(problem, task, hook)
+                except Exception as error:  # noqa: BLE001 - a bad goal must not kill the worker
+                    outcome = {"status": "failed", "reason": f"worker error: {error!r}"}
         result_queue.put((slot, task["uid"], outcome))
 
 
@@ -438,19 +420,10 @@ class _WorkerSlot:
     own channel, which is thrown away when the slot respawns.
     """
 
-    def __init__(
-        self,
-        slot: int,
-        context,
-        resolver_spec: Spec,
-        hook_spec: Optional[Spec],
-        main: Callable = None,
-    ):
+    def __init__(self, slot: int, context, hook_spec: Optional[Spec]):
         self.slot = slot
         self.context = context
-        self.resolver_spec = resolver_spec
         self.hook_spec = hook_spec
-        self.main = main or _worker_main
         self.current: Optional[dict] = None
         self.started_at = 0.0
         self.tasks_done = 0
@@ -464,8 +437,8 @@ class _WorkerSlot:
         self.task_queue = self.context.Queue()
         self.result_queue = self.context.Queue()
         self.process = self.context.Process(
-            target=self.main,
-            args=(self.slot, self.resolver_spec, self.hook_spec, self.task_queue, self.result_queue),
+            target=_worker_loop,
+            args=(self.slot, self.hook_spec, self.task_queue, self.result_queue),
             daemon=True,
             name=f"repro-engine-worker-{self.slot}",
         )
@@ -540,334 +513,6 @@ class _WorkerSlot:
         self._discard_queues()
 
 
-class Scheduler:
-    """Shard tasks over a pool of worker processes.
-
-    ``jobs``
-        Pool size; defaults to the CPU count.
-    ``resolver``
-        How workers obtain their problems (:data:`Spec` returning an iterable
-        of :class:`~repro.benchmarks_data.registry.BenchmarkProblem`).
-    ``worker_hook``
-        Optional :data:`Spec` invoked on every task inside the worker before
-        solving — the crash-injection seam used by the tests.
-    ``hard_kill_grace``
-        Extra seconds past a task's in-process timeout before the parent
-        terminates a (presumably hung) worker.
-    ``start_method``
-        ``multiprocessing`` start method; defaults to ``fork`` when available
-        (cheap on Linux — workers inherit already-imported modules) and the
-        platform default otherwise.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        resolver: Spec = DEFAULT_RESOLVER,
-        worker_hook: Optional[Spec] = None,
-        hard_kill_grace: float = 5.0,
-        start_method: Optional[str] = None,
-        tracer=None,
-    ):
-        self.jobs = max(1, int(jobs) if jobs else (os.cpu_count() or 1))
-        self.resolver = resolver
-        self.worker_hook = worker_hook
-        self.hard_kill_grace = max(0.5, float(hard_kill_grace))
-        #: Where queue/dispatch spans of traced tasks go; the proof service
-        #: injects its own per-daemon tracer, everyone else gets the ring.
-        self.tracer = tracer if tracer is not None else get_tracer()
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.context = multiprocessing.get_context(start_method)
-        #: per-slot utilisation of the last run: {slot: {"tasks", "busy_seconds", "respawns"}}
-        self.worker_stats: Dict[int, Dict[str, float]] = {}
-        #: wall-clock duration of the last run
-        self.wall_seconds = 0.0
-        self._shutdown = False
-        self._shutdown_at = 0.0
-        self._shutdown_grace = 0.0
-
-    # -- graceful shutdown ---------------------------------------------------------
-
-    def request_shutdown(self, grace: Optional[float] = None) -> None:
-        """Ask the run loop to drain: finish what is in flight, start nothing new.
-
-        Safe to call from another thread (the daemon's signal handler) while
-        :meth:`run` executes.  Pending tasks are failed immediately with a
-        "shutting down" reason (which :mod:`repro.engine.suite` treats as
-        unstorable); goals already on a worker get ``grace`` extra seconds
-        (default: ``hard_kill_grace``) to finish normally before the worker is
-        killed — killed, not respawned, so shutdown never spawns a process.
-        The flag is sticky: every later :meth:`run` on this scheduler drains
-        too, which is what a tearing-down daemon wants.
-        """
-        self._shutdown_grace = self.hard_kill_grace if grace is None else max(0.0, float(grace))
-        self._shutdown_at = time.monotonic()
-        self._shutdown = True
-
-    @property
-    def shutting_down(self) -> bool:
-        return self._shutdown
-
-    # -- deadline policy ---------------------------------------------------------
-
-    def _hard_deadline(self, task: dict, started_at: float) -> Optional[float]:
-        timeout = task.get("config", {}).get("timeout")
-        if timeout is None:
-            return None
-        return started_at + float(timeout) + self.hard_kill_grace
-
-    # -- the run loop --------------------------------------------------------------
-
-    def run(
-        self,
-        tasks: Iterable[Union[Task, dict]],
-        on_result: Optional[Callable[[dict, dict, Callable[[Iterable[int]], None]], None]] = None,
-    ) -> Dict[int, dict]:
-        """Execute every task; returns ``{uid: outcome dict}``.
-
-        Outcomes gain a ``"worker"`` key (the slot that solved them, ``-1``
-        for tasks cancelled before dispatch).  ``on_result(task, outcome,
-        cancel)`` is invoked in completion order; calling ``cancel(uids)``
-        marks still-pending tasks as :data:`STATUS_CANCELLED` without
-        dispatching them (in-flight tasks run to completion — their outcome is
-        still reported, the caller decides whether to use it).
-        """
-        started_run = time.monotonic()
-        wire: List[dict] = [t.to_wire() if isinstance(t, Task) else dict(t) for t in tasks]
-        results: Dict[int, dict] = {}
-        cancelled: set = set()
-        # Queue-wait attribution: every task is enqueued right here, so one
-        # anchor pair serves the whole batch; dispatch moments are recorded
-        # per uid as (monotonic, wall) when a worker accepts the task.
-        enqueued_mono = time.monotonic()
-        enqueued_wall = time.time()
-        dispatched_at: Dict[int, Tuple[float, float]] = {}
-
-        def cancel(uids: Iterable[int]) -> None:
-            cancelled.update(uids)
-
-        def finish(task: dict, outcome: dict, worker: int) -> None:
-            outcome = dict(outcome)
-            outcome["worker"] = worker
-            spans = outcome.pop("spans", None)
-            dispatch = dispatched_at.get(task["uid"])
-            outcome.setdefault(
-                "queued_seconds",
-                round((dispatch[0] if dispatch else time.monotonic()) - enqueued_mono, 6),
-            )
-            trace_id = str(task.get("trace") or "")
-            if trace_id:
-                now_wall = time.time()
-                queue_span = mint_span_id()
-                self.tracer.emit(
-                    span_record(
-                        "queue",
-                        trace_id,
-                        span=queue_span,
-                        parent=str(task.get("span") or ""),
-                        start=enqueued_wall,
-                        end=dispatch[1] if dispatch else now_wall,
-                        attrs={"goal": task["key"], "dispatched": dispatch is not None},
-                    )
-                )
-                if dispatch is not None:
-                    self.tracer.emit(
-                        span_record(
-                            "pool-dispatch",
-                            trace_id,
-                            span=str(task.get("dispatch_span") or ""),
-                            parent=queue_span,
-                            start=dispatch[1],
-                            end=now_wall,
-                            attrs={
-                                "goal": task["key"],
-                                "worker": worker,
-                                "status": str(outcome.get("status") or ""),
-                            },
-                        )
-                    )
-                if spans:
-                    self.tracer.emit_all(spans)
-            results[task["uid"]] = outcome
-            if on_result is not None:
-                on_result(task, outcome, cancel)
-
-        if not wire:
-            self.worker_stats = {}
-            self.wall_seconds = time.monotonic() - started_run
-            return results
-
-        pending = deque(wire)
-        pool = [
-            _WorkerSlot(slot, self.context, self.resolver, self.worker_hook)
-            for slot in range(min(self.jobs, len(wire)))
-        ]
-        busy_seconds = {worker.slot: 0.0 for worker in pool}
-        try:
-            while pending or any(not worker.idle for worker in pool):
-                # 0. Shutdown drain: everything not yet dispatched fails fast.
-                if self._shutdown:
-                    while pending:
-                        task = pending.popleft()
-                        finish(
-                            task,
-                            {
-                                "status": "failed",
-                                "reason": "service shutting down: task abandoned before dispatch",
-                            },
-                            worker=-1,
-                        )
-
-                # 1. Keep every idle worker fed (skipping cancelled tasks).
-                for worker in pool:
-                    if not worker.idle:
-                        continue
-                    while pending:
-                        task = pending.popleft()
-                        if task["uid"] in cancelled:
-                            finish(
-                                task,
-                                {
-                                    "status": STATUS_CANCELLED,
-                                    "reason": "a portfolio sibling already proved the goal",
-                                },
-                                worker=-1,
-                            )
-                            continue
-                        if task.get("trace") and not task.get("dispatch_span"):
-                            # Minted before pickling so the worker-solve span
-                            # can parent onto it without a round-trip.
-                            task["dispatch_span"] = mint_span_id()
-                        worker.submit(task)
-                        dispatched_at[task["uid"]] = (time.monotonic(), time.time())
-                        break
-
-                # 2. Collect finished results from every slot's own queue.
-                got_any = False
-                for worker in pool:
-                    message = worker.poll()
-                    if message is None:
-                        continue
-                    slot, uid, outcome = message
-                    got_any = True
-                    if uid in results:
-                        continue  # late echo of a task we already settled
-                    if worker.current is not None and worker.current["uid"] == uid:
-                        busy_seconds[worker.slot] += time.monotonic() - worker.started_at
-                        finish(worker.current, outcome, worker=worker.slot)
-                        worker.finish()
-                if got_any:
-                    continue  # drain eagerly before liveness checks
-
-                # 3. Crash isolation: a dead worker loses its own goal only.
-                now = time.monotonic()
-                checked_any = False
-                for worker in pool:
-                    if worker.idle:
-                        continue
-                    task = worker.current
-                    if not worker.process.is_alive():
-                        # One last drain: the result may have been flushed
-                        # just before the process died.
-                        message = worker.poll()
-                        if message is not None and message[1] == task["uid"]:
-                            busy_seconds[worker.slot] += now - worker.started_at
-                            finish(task, message[2], worker=worker.slot)
-                            worker.finish()
-                            if self._shutdown:
-                                worker.kill()
-                            else:
-                                worker.respawn()
-                            checked_any = True
-                            continue
-                        exit_code = worker.process.exitcode
-                        busy_seconds[worker.slot] += now - worker.started_at
-                        if task.get("trace"):
-                            self.tracer.emit(
-                                event_record(
-                                    "worker-crash",
-                                    str(task["trace"]),
-                                    parent=str(task.get("dispatch_span") or ""),
-                                    attrs={
-                                        "goal": task["key"],
-                                        "slot": worker.slot,
-                                        "exit_code": exit_code,
-                                    },
-                                )
-                            )
-                        finish(
-                            task,
-                            {
-                                "status": "failed",
-                                "reason": f"worker crashed (exit code {exit_code}) while solving",
-                            },
-                            worker=worker.slot,
-                        )
-                        if self._shutdown:
-                            worker.kill()
-                        else:
-                            worker.respawn()
-                        checked_any = True
-                        continue
-                    # 3b. Shutdown grace: in-flight goals may finish normally
-                    # until the grace expires; stragglers are killed without a
-                    # replacement (shutdown must never spawn a process).
-                    if self._shutdown and now > self._shutdown_at + self._shutdown_grace:
-                        busy_seconds[worker.slot] += now - worker.started_at
-                        finish(
-                            task,
-                            {
-                                "status": "failed",
-                                "reason": (
-                                    "service shutting down: worker killed "
-                                    f"{now - worker.started_at:.1f}s into the goal"
-                                ),
-                            },
-                            worker=worker.slot,
-                        )
-                        worker.kill()
-                        checked_any = True
-                        continue
-                    # 4. Hard deadline: kill a hung worker past timeout+grace.
-                    deadline = self._hard_deadline(task, worker.started_at)
-                    if deadline is not None and now > deadline:
-                        busy_seconds[worker.slot] += now - worker.started_at
-                        finish(
-                            task,
-                            {
-                                "status": "timeout",
-                                "reason": (
-                                    f"hard deadline: worker killed "
-                                    f"{now - worker.started_at:.1f}s into a "
-                                    f"{task['config'].get('timeout')}s budget"
-                                ),
-                            },
-                            worker=worker.slot,
-                        )
-                        if self._shutdown:
-                            worker.kill()
-                        else:
-                            worker.respawn()
-                        checked_any = True
-                if not checked_any:
-                    time.sleep(0.01)  # idle poll: nothing finished, nobody died
-        finally:
-            for worker in pool:
-                worker.stop()
-            self.worker_stats = {
-                worker.slot: {
-                    "tasks": worker.tasks_done,
-                    "busy_seconds": round(busy_seconds[worker.slot], 6),
-                    "respawns": worker.respawns,
-                }
-                for worker in pool
-            }
-            self.wall_seconds = time.monotonic() - started_run
-        return results
-
-
 # ---------------------------------------------------------------------------
 # The shared resident pool
 # ---------------------------------------------------------------------------
@@ -916,9 +561,9 @@ class _PoolTask:
 class PoolSession:
     """One request's window onto a shared :class:`WorkerPool`.
 
-    Presents the same run interface as :class:`Scheduler` (``run``,
-    ``worker_stats``, ``wall_seconds``), so :func:`repro.engine.suite.solve_suite`
-    drives a shared pool unchanged.  Everything is scoped to the session:
+    The run interface :func:`repro.engine.suite.solve_suite` drives (``run``,
+    ``worker_stats``, ``wall_seconds``), whether the pool is resident or built
+    for one batch.  Everything is scoped to the session:
     ``cancel`` from this session's ``on_result`` withholds only this session's
     tasks, ``worker_stats`` reports only work done for this session, and
     ``worker_spawns`` counts only processes whose creation this session
@@ -1044,13 +689,17 @@ class PoolSession:
         if worker >= 0:
             with self.pool._lock:
                 self._tasks[worker] = self._tasks.get(worker, 0) + 1
-        if self._on_result is not None and self._callback_error is None:
+        on_result = self._on_result
+        if on_result is not None and self._callback_error is None:
             try:
-                self._on_result(ptask.wire, outcome, self.cancel)
+                on_result(ptask.wire, outcome, self.cancel)
             except BaseException as error:  # noqa: BLE001 - re-raised in run()
                 # A raising callback must not kill the dispatcher (it serves
-                # other sessions too); the session re-raises after its run.
+                # other sessions too); the session re-raises once its
+                # in-flight goals settle, and dispatches nothing more.
                 self._callback_error = error
+                with self.pool._lock:
+                    self._cancelled.update(t.wire["uid"] for t in self._pending)
         self._outstanding -= 1
         if self._outstanding <= 0:
             self._done.set()
@@ -1059,16 +708,26 @@ class PoolSession:
 class WorkerPool:
     """A persistent pool of solver processes, shared fairly across sessions.
 
-    Where :class:`Scheduler` builds and tears down its workers around one
-    batch, the pool keeps them resident: requests join as
-    :class:`PoolSession`\\ s, their goal tasks interleave deficit-round-robin
-    across sessions (quantum: one goal per visit, so a 100-goal batch cannot
-    starve a 1-goal request), and a single dispatcher thread owns all slot
-    state — feeding idle workers, polling results, respawning crashes and
-    enforcing hard deadlines — so :class:`Scheduler`'s crash-isolation and
-    deadline policy carries over intact.  Workers cache elaborated theories
-    across tasks (:func:`_pool_worker_main`), which is the latency win: a
-    known theory is served with zero spawns and zero re-elaboration.
+    Requests join as :class:`PoolSession`\\ s, their goal tasks interleave
+    deficit-round-robin across sessions (quantum: one goal per visit, so a
+    100-goal batch cannot starve a 1-goal request), and a single dispatcher
+    thread owns all slot state — feeding idle workers, polling results,
+    respawning crashes and enforcing hard deadlines.  Workers cache elaborated
+    theories across tasks (:func:`_worker_loop`), which is the latency win: a
+    known theory is served with zero spawns and zero re-elaboration.  A batch
+    suite is simply a pool with one session, closed when the batch ends.
+
+    ``jobs``
+        Pool size; defaults to the CPU count.
+    ``worker_hook``
+        Optional :data:`Spec` invoked on every task inside the worker before
+        solving — the crash-injection seam used by the tests.
+    ``hard_kill_grace``
+        Extra seconds past a task's in-process timeout before the dispatcher
+        terminates a (presumably hung) worker.
+
+    Workers start with ``fork`` when the platform offers it (cheap on Linux:
+    they inherit already-imported modules) and the platform default otherwise.
 
     Concurrency contract: ``_lock`` guards session registration, per-session
     queues/counters and the fairness ring; worker slots are touched by the
@@ -1081,7 +740,6 @@ class WorkerPool:
         jobs: Optional[int] = None,
         worker_hook: Optional[Spec] = None,
         hard_kill_grace: float = 5.0,
-        start_method: Optional[str] = None,
         tracer=None,
     ):
         self.jobs = max(1, int(jobs) if jobs else (os.cpu_count() or 1))
@@ -1090,10 +748,8 @@ class WorkerPool:
         #: Where queue/dispatch spans and crash events of traced tasks go; the
         #: proof service injects its per-daemon tracer.
         self.tracer = tracer if tracer is not None else get_tracer()
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self.context = multiprocessing.get_context(start_method)
+        methods = multiprocessing.get_all_start_methods()
+        self.context = multiprocessing.get_context("fork" if "fork" in methods else methods[0])
         self._lock = threading.RLock()
         self._slots: List[_WorkerSlot] = []
         self._thread: Optional[threading.Thread] = None
@@ -1126,15 +782,7 @@ class WorkerPool:
                 raise RuntimeError(self._broken or "worker pool is closed")
             started = 0
             while len(self._slots) < self.jobs and not self._shutdown:
-                self._slots.append(
-                    _WorkerSlot(
-                        len(self._slots),
-                        self.context,
-                        None,
-                        self.worker_hook,
-                        main=_pool_worker_main,
-                    )
-                )
+                self._slots.append(_WorkerSlot(len(self._slots), self.context, self.worker_hook))
                 self._spawns += 1
                 started += 1
             if self._thread is None:
@@ -1154,23 +802,33 @@ class WorkerPool:
             self._max_sessions = max(self._max_sessions, len(self._sessions))
             for task in wire:
                 session._pending.append(_PoolTask(next(self._uids), session, task))
-        session._done.wait()
-        with self._lock:
-            self._sessions.pop(session.sid, None)
-            try:
-                self._ring.remove(session.sid)
-            except ValueError:  # pragma: no cover - already gone
-                pass
+        try:
+            session._done.wait()
+        finally:
+            # Also on an interrupted wait (Ctrl-C): a session left registered
+            # would hold close() in wait_idle until its timeout, and outcomes
+            # settled after the interrupt must not reach the caller's callback.
+            if not session._done.is_set():
+                session._on_result = None
+            with self._lock:
+                self._sessions.pop(session.sid, None)
+                try:
+                    self._ring.remove(session.sid)
+                except ValueError:  # pragma: no cover - already gone
+                    pass
 
     # -- graceful shutdown -----------------------------------------------------
 
     def request_shutdown(self, grace: Optional[float] = None) -> None:
         """Drain: finish what is in flight (within ``grace``), start nothing new.
 
-        Same sticky semantics as :meth:`Scheduler.request_shutdown`: pending
-        tasks of every session fail fast with a "shutting down" reason, goals
-        already on a worker get ``grace`` seconds before the worker is killed
-        (killed, not respawned), and later sessions drain immediately too.
+        Safe to call from another thread (the daemon's signal handler) while
+        sessions run.  Pending tasks of every session fail fast with a
+        "shutting down" reason (which :mod:`repro.engine.suite` treats as
+        unstorable); goals already on a worker get ``grace`` extra seconds
+        (default: ``hard_kill_grace``) to finish normally before the worker is
+        killed — killed, not respawned, so shutdown never spawns a process.
+        The flag is sticky: later sessions drain immediately too.
         """
         self._shutdown_grace = self.hard_kill_grace if grace is None else max(0.0, float(grace))
         self._shutdown_at = time.monotonic()

@@ -1,4 +1,4 @@
-"""Tests for the multiprocess scheduler and ``run_suite_parallel``.
+"""Tests for the multiprocess worker pool and ``run_suite_parallel``.
 
 The parity tests use generous per-goal budgets so that no status sits near the
 failed-vs-timeout wall-clock boundary (CPU contention inflates search times;
@@ -7,11 +7,12 @@ only goals with a wide margin have load-independent statuses).
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
 from repro.benchmarks_data import isaplanner_problems
-from repro.engine import Scheduler, Task, load_spec, solve_task
+from repro.engine import Task, WorkerPool, load_spec, solve_task
 from repro.harness import run_suite, run_suite_parallel
 from repro.search import ProverConfig
 
@@ -172,8 +173,18 @@ class TestCrashIsolation:
         assert result.record("prop_01").proved
 
 
+def run_on_pool(resolver, tasks, jobs=1):
+    """Run ``tasks`` as one session of a fresh pool; returns (results, session, pool)."""
+    pool = WorkerPool(jobs=jobs)
+    try:
+        session = pool.session(resolver)
+        return session.run(tasks), session, pool
+    finally:
+        pool.close()
+
+
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="engine tests rely on the fork start method")
-class TestSchedulerDirectly:
+class TestPoolSessionDirectly:
     def test_custom_resolver_restricts_the_problem_set(self):
         from dataclasses import asdict
 
@@ -184,17 +195,18 @@ class TestSchedulerDirectly:
             Task(uid=1, index=1, suite="isaplanner", name="prop_40",
                  variant="v", config=config),
         ]
-        scheduler = Scheduler(jobs=1, resolver="engine_hooks:tiny_resolver")
-        results = scheduler.run(tasks)
+        results, _, _ = run_on_pool("engine_hooks:tiny_resolver", tasks)
         assert results[0]["status"] == "proved"
         # prop_40 is not produced by the tiny resolver
         assert results[1]["status"] == "failed"
         assert "unknown problem" in results[1]["reason"]
 
     def test_zero_tasks(self):
-        scheduler = Scheduler(jobs=2)
-        assert scheduler.run([]) == {}
-        assert scheduler.worker_stats == {}
+        results, session, pool = run_on_pool("engine_hooks:tiny_resolver", [], jobs=2)
+        assert results == {}
+        assert session.worker_stats == {}
+        assert session.worker_spawns == 0
+        assert pool.snapshot()["spawns"] == 0
 
     def test_program_fingerprint_mismatch_fails_the_task(self):
         """A resolver rebuilding a *different* program must not silently solve."""
@@ -203,8 +215,7 @@ class TestSchedulerDirectly:
         task = Task(uid=0, index=0, suite="isaplanner", name="prop_01",
                     variant="v", config=asdict(ProverConfig(timeout=2.0)),
                     program="not-the-real-fingerprint")
-        scheduler = Scheduler(jobs=1, resolver="engine_hooks:tiny_resolver")
-        results = scheduler.run([task])
+        results, _, _ = run_on_pool("engine_hooks:tiny_resolver", [task])
         assert results[0]["status"] == "failed"
         assert "fingerprint mismatch" in results[0]["reason"]
 
@@ -213,7 +224,137 @@ class TestSchedulerDirectly:
 
         task = Task(uid=0, index=0, suite="isaplanner", name="prop_01",
                     variant="v", config=asdict(ProverConfig(timeout=2.0)))
-        scheduler = Scheduler(jobs=1, resolver="engine_hooks:does_not_exist")
-        results = scheduler.run([task])
+        results, _, _ = run_on_pool("engine_hooks:does_not_exist", [task])
         assert results[0]["status"] == "failed"
         assert "initialisation" in results[0]["reason"]
+
+
+def _dispatch_threads():
+    return [t for t in threading.enumerate() if t.name == "repro-pool-dispatch" and t.is_alive()]
+
+
+def _run_interrupted(script: str) -> str:
+    """Run ``script`` in a fresh interpreter (it SIGINTs itself); its stdout."""
+    import subprocess
+    import sys
+
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(here), "src"), here, env.get("PYTHONPATH", "")]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not FORK_AVAILABLE, reason="engine tests rely on the fork start method")
+class TestEphemeralPoolLifecycle:
+    """A batch run builds its own pool and must leave no worker or thread behind."""
+
+    def test_no_workers_or_dispatcher_survive_a_run(self, subset_problems):
+        run_suite_parallel(subset_problems[:2], ProverConfig(timeout=5.0), jobs=2)
+        assert multiprocessing.active_children() == []
+        assert _dispatch_threads() == []
+
+    def test_no_workers_or_dispatcher_survive_a_raising_progress_callback(self, subset_problems):
+        def progress(record):
+            raise RuntimeError("progress sink broke")
+
+        with pytest.raises(RuntimeError, match="progress sink broke"):
+            run_suite_parallel(
+                [p for p in subset_problems if p.name == "prop_01"],
+                ProverConfig(timeout=5.0),
+                jobs=2,
+                progress=progress,
+            )
+        assert multiprocessing.active_children() == []
+        assert _dispatch_threads() == []
+
+    def test_a_raising_progress_callback_stops_the_batch(self, subset_problems):
+        """Pending goals are withheld once a callback raised; none is dispatched."""
+        import time
+
+        def progress(record):
+            raise RuntimeError("progress sink broke")
+
+        # One worker: prop_01 settles first, and prop_11 would then hang its
+        # worker for the full budget plus the kill grace (10 s) if dispatched.
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="progress sink broke"):
+            run_suite_parallel(
+                [p for p in subset_problems if p.name in ("prop_01", "prop_11")],
+                ProverConfig(timeout=5.0),
+                jobs=1,
+                progress=progress,
+                worker_hook="engine_hooks:hang_on_prop_11",
+            )
+        assert time.monotonic() - started < 5.0
+        assert multiprocessing.active_children() == []
+        assert _dispatch_threads() == []
+
+    def test_ctrl_c_tears_the_pool_down_promptly(self, tmp_path):
+        """An interrupt while waiting on the batch must not stall pool shutdown,
+        nor report or store the goals the teardown abandons."""
+        import json
+
+        store = tmp_path / "store.jsonl"
+        script = (
+            "import multiprocessing, os, signal, threading, time\n"
+            "from repro.benchmarks_data import isaplanner_problems\n"
+            "from repro.harness import run_suite_parallel\n"
+            "from repro.search import ProverConfig\n"
+            "problems = [p for p in isaplanner_problems() if p.name in ('prop_01', 'prop_11')]\n"
+            "reported = []\n"
+            "threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT)).start()\n"
+            "started = time.monotonic()\n"
+            "try:\n"
+            "    run_suite_parallel(problems, ProverConfig(timeout=60.0), jobs=2,\n"
+            f"                       store={str(store)!r},\n"
+            "                       progress=lambda record: reported.append(record.name),\n"
+            "                       worker_hook='engine_hooks:hang_on_prop_11')\n"
+            "except KeyboardInterrupt:\n"
+            "    print(time.monotonic() - started, len(multiprocessing.active_children()),\n"
+            "          ','.join(reported))\n"
+        )
+        elapsed, children, reported = _run_interrupted(script).split()
+        # The hung worker is killed when the pool closes; a session left
+        # registered after the interrupt would hold close() for 10 s more.
+        assert float(elapsed) < 8.0
+        assert children == "0"
+        # prop_01 was proved before the interrupt; the killed prop_11 is
+        # neither reported nor stored (a warm run would replay it as failed).
+        assert reported == "prop_01"
+        goals = [json.loads(line)["goal"] for line in store.read_text().splitlines()]
+        assert any("prop_01" in goal for goal in goals)
+        assert not any("prop_11" in goal for goal in goals)
+
+    def test_an_interrupted_session_receives_no_more_outcomes(self):
+        """Goals the pool fails while closing never reach the session's callback."""
+        script = (
+            "import os, signal, threading\n"
+            "from dataclasses import asdict\n"
+            "from repro.engine import Task, WorkerPool\n"
+            "from repro.search import ProverConfig\n"
+            "config = asdict(ProverConfig(timeout=60.0))\n"
+            "tasks = [Task(uid=0, index=0, suite='isaplanner', name='prop_11',\n"
+            "              variant='v', config=config)]\n"
+            "seen = []\n"
+            "pool = WorkerPool(jobs=1, worker_hook='engine_hooks:hang_on_prop_11')\n"
+            "threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT)).start()\n"
+            "try:\n"
+            "    pool.session('repro.benchmarks_data.registry:all_problems').run(\n"
+            "        tasks, on_result=lambda task, outcome, cancel: seen.append(outcome))\n"
+            "except KeyboardInterrupt:\n"
+            "    pool.close()\n"
+            "    print(len(seen))\n"
+        )
+        assert _run_interrupted(script).split() == ["0"]
+
+    def test_pool_is_sized_by_the_task_count(self, subset_problems):
+        one_goal = [p for p in subset_problems if p.name == "prop_01"]
+        result = run_suite_parallel(one_goal, ProverConfig(timeout=5.0), jobs=4)
+        assert result.record("prop_01").proved
+        assert result.engine.worker_spawns == 1
