@@ -730,36 +730,7 @@ def _records_from_store(store, suite: Optional[str]) -> Dict[str, List[SolveReco
         suite_name, _, name = goal_key.partition("/")
         if suite and suite_name != suite:
             continue
-        record = SolveRecord(
-            name=name or goal_key,
-            suite=suite_name,
-            status=str(entry.get("status", "failed")),
-            seconds=float(entry.get("seconds") or 0.0),
-            nodes=int(entry.get("nodes") or 0),
-            subst_attempts=int(entry.get("subst_attempts") or 0),
-            soundness_violations=int(entry.get("soundness_violations") or 0),
-            normalizer_hits=int(entry.get("normalizer_hits") or 0),
-            normalizer_misses=int(entry.get("normalizer_misses") or 0),
-            reason=str(entry.get("reason") or ""),
-            variant=str(entry.get("variant") or ""),
-            strategy=str(entry.get("strategy") or ""),
-            max_agenda_size=int(entry.get("max_agenda_size") or 0),
-            choice_points=int(entry.get("choice_points") or 0),
-            cached=True,
-            certificate=entry.get("certificate"),
-            certificate_seconds=float(entry.get("certificate_seconds") or 0.0),
-            counterexample=entry.get("counterexample"),
-            falsify_seconds=float(entry.get("falsify_seconds") or 0.0),
-            compile_seconds=float(entry.get("compile_seconds") or 0.0),
-            compiled_steps=int(entry.get("compiled_steps") or 0),
-            fallback_steps=int(entry.get("fallback_steps") or 0),
-            hot_symbols=dict(entry.get("hot_symbols") or {}),
-            # Lines written before the phase profiler have neither field;
-            # degrade to empty dicts (the profile table renders them as "-").
-            phase_seconds=dict(entry.get("phase_seconds") or {}),
-            phase_counts=dict(entry.get("phase_counts") or {}),
-            closure_compositions=int(entry.get("closure_compositions") or 0),
-        )
+        record = SolveRecord.from_wire(name or goal_key, suite_name, entry, cached=True)
         goals = by_suite.setdefault(suite_name, {})
         # Several configs may have attempted the goal; keep the best outcome
         # (a decisive verdict — proof or refutation — beats a failure, then

@@ -36,6 +36,7 @@ try:  # POSIX only; on platforms without fcntl the lock degrades to a no-op.
 except ImportError:  # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
+from ..harness.runner import OUTCOME_FIELDS  # the stored SolveRecord fields
 from ..search.config import ProverConfig
 
 __all__ = [
@@ -142,55 +143,14 @@ Schema history: 1 — pre-versioning; 2 — proof certificates; 3 — the
 ``disproved`` status with its ``counterexample``/``falsify_seconds`` payload
 (a v2 line could mask a refutation as a plain failure, so v2 is not read).
 
-The compiled-dispatch counters (``compile_seconds``/``compiled_steps``/
-``fallback_steps``/``hot_symbols``) did *not* bump the schema: their absence
-is benign (they default to zero/empty and describe performance, not the
-verdict), and adding ``ProverConfig.compile_rules`` changed the configuration
-fingerprint anyway, so pre-existing lines no longer match any current run.
+Fields that describe performance or provenance rather than the verdict
+(search counters, phase profile, hint accounting) never bump the schema:
+lines are :meth:`~repro.harness.runner.SolveRecord.to_wire` payloads, read
+back with :meth:`~repro.harness.runner.SolveRecord.from_wire`, so an absent
+field takes its default.  The persisted fields are :data:`OUTCOME_FIELDS`:
+every ``SolveRecord`` field except the goal identity (the key carries it) and
+the run-local ones (worker slot, queue wait, ``cached``).
 """
-
-#: Fields of an outcome payload persisted per entry (everything else in a line
-#: is key material or provenance).
-OUTCOME_FIELDS = (
-    "status",
-    "seconds",
-    "nodes",
-    "subst_attempts",
-    "soundness_violations",
-    "normalizer_hits",
-    "normalizer_misses",
-    "reason",
-    "variant",
-    "strategy",
-    "max_agenda_size",
-    "choice_points",
-    "certificate",
-    "certificate_seconds",
-    "counterexample",
-    "falsify_seconds",
-    "compile_seconds",
-    "compiled_steps",
-    "fallback_steps",
-    "hot_symbols",
-    # Hint accounting (absence-benign, like the compile counters: they
-    # describe provenance, not the verdict, so they did not bump the schema;
-    # adding ProverConfig.max_hints changed the config fingerprint anyway).
-    "hints_offered",
-    "hint_steps",
-    # Phase-profile accounting (absence-benign for the same reason: pure
-    # performance observability — lines written before the profiler replay
-    # with empty dicts and the report tables render "-" for them).
-    "phase_seconds",
-    "phase_counts",
-    # Size-change compositions of the attempt (absence-benign alike: the
-    # layer's work counter; older lines replay as 0 and render as "-").
-    "closure_compositions",
-    # Deliberately absent: "queued_seconds" and "spans".  Queue wait is a
-    # property of one *run*'s scheduling (a replayed goal waited 0 in the
-    # replaying request — persisting the historical wait would poison the
-    # client-latency decomposition), and spans belong to the trace sink, never
-    # the result store.
-)
 
 
 def config_fingerprint(config: ProverConfig) -> str:

@@ -142,39 +142,12 @@ def solve_suite(
 
     def decide(state: _GoalState, variant: str, outcome: dict) -> None:
         state.decided = True
-        record = SolveRecord(
-            name=state.problem.name,
-            suite=state.problem.suite,
-            status=outcome.get("status", "failed"),
-            seconds=float(outcome.get("seconds") or 0.0),
-            nodes=int(outcome.get("nodes") or 0),
-            subst_attempts=int(outcome.get("subst_attempts") or 0),
-            soundness_violations=int(outcome.get("soundness_violations") or 0),
-            normalizer_hits=int(outcome.get("normalizer_hits") or 0),
-            normalizer_misses=int(outcome.get("normalizer_misses") or 0),
-            reason=str(outcome.get("reason") or ""),
-            strategy=str(outcome.get("strategy") or ""),
-            max_agenda_size=int(outcome.get("max_agenda_size") or 0),
-            choice_points=int(outcome.get("choice_points") or 0),
-            worker=int(outcome.get("worker", -1)),
+        record = SolveRecord.from_wire(
+            state.problem.name,
+            state.problem.suite,
+            outcome,
             variant=variant,
             cached=variant in state.cached_variants,
-            certificate=outcome.get("certificate"),
-            certificate_seconds=float(outcome.get("certificate_seconds") or 0.0),
-            counterexample=outcome.get("counterexample"),
-            falsify_seconds=float(outcome.get("falsify_seconds") or 0.0),
-            compile_seconds=float(outcome.get("compile_seconds") or 0.0),
-            compiled_steps=int(outcome.get("compiled_steps") or 0),
-            fallback_steps=int(outcome.get("fallback_steps") or 0),
-            hot_symbols=dict(outcome.get("hot_symbols") or {}),
-            hints_offered=int(outcome.get("hints_offered") or 0),
-            hint_steps=int(outcome.get("hint_steps") or 0),
-            queued_seconds=float(outcome.get("queued_seconds") or 0.0),
-            # Absent on store lines predating the phase profiler: degrade to
-            # empty dicts, which every report table renders as "-".
-            phase_seconds=dict(outcome.get("phase_seconds") or {}),
-            phase_counts=dict(outcome.get("phase_counts") or {}),
-            closure_compositions=int(outcome.get("closure_compositions") or 0),
         )
         spent_on_store = store_seconds.get(state.index)
         if spent_on_store:
@@ -199,12 +172,7 @@ def solve_suite(
 
     for index, problem in enumerate(problems):
         if problem.goal.is_conditional and not falsify_enabled:
-            record = SolveRecord(
-                name=problem.name,
-                suite=problem.suite,
-                status="out-of-scope",
-                reason="conditional goal",
-            )
+            record = SolveRecord.out_of_scope(problem)
             records[index] = record
             if progress is not None:
                 progress(record)

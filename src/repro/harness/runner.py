@@ -11,8 +11,9 @@ Fig. 7.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from copy import copy
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..benchmarks_data.registry import BenchmarkProblem
 from ..core.equations import Equation
@@ -20,12 +21,41 @@ from ..search.config import ProverConfig
 from ..search.prover import Prover
 from ..search.result import ProofResult
 
-__all__ = ["SolveRecord", "SuiteResult", "run_suite", "run_suite_parallel", "cumulative_curve"]
+__all__ = [
+    "SolveRecord", "SuiteResult", "OUTCOME_FIELDS", "solve_problem",
+    "run_suite", "run_suite_parallel", "cumulative_curve",
+]
+
+
+# Field metadata keys.  ``stat`` names the SearchStatistics attribute a field
+# copies; ``run`` marks a field that describes one run rather than the outcome,
+# so it is never stored (a replay reports its own worker, queue wait, cached).
+_STAT = "stat"
+_RUN = "run"
+
+
+def _stat(source: str, default=0):
+    """A record field copied from ``SearchStatistics.<source>`` by
+    :meth:`SolveRecord.from_attempt`; ``default=dict`` for dict-valued fields."""
+    if default is dict:
+        return field(default_factory=dict, metadata={_STAT: source})
+    return field(default=default, metadata={_STAT: source})
+
+
+def _run(default):
+    return field(default=default, metadata={_RUN: True})
 
 
 @dataclass
 class SolveRecord:
-    """The outcome of one benchmark problem."""
+    """The outcome of one benchmark problem — the one outcome schema.
+
+    Records are built from a prover attempt (:meth:`from_attempt`), cross the
+    worker boundary and persist in the result store as :meth:`to_wire`
+    payloads, and come back through :meth:`from_wire`.  A new counter is one
+    field here, tagged with its :class:`SearchStatistics` source via
+    ``_stat``; every path picks it up.
+    """
 
     name: str
     suite: str
@@ -34,29 +64,29 @@ class SolveRecord:
     ``timeout``, or ``out-of-scope`` (conditional goal)."""
 
     seconds: float = 0.0
-    nodes: int = 0
-    subst_attempts: int = 0
-    soundness_violations: int = 0
-    normalizer_hits: int = 0
-    normalizer_misses: int = 0
+    nodes: int = _stat("nodes_created")
+    subst_attempts: int = _stat("subst_attempts")
+    soundness_violations: int = _stat("soundness_violations")
+    normalizer_hits: int = _stat("normalizer_hits")
+    normalizer_misses: int = _stat("normalizer_misses")
     reason: str = ""
 
-    strategy: str = ""
+    strategy: str = _stat("strategy", "")
     """The search strategy that drove the attempt ("" for out-of-scope goals)."""
 
-    max_agenda_size: int = 0
+    max_agenda_size: int = _stat("max_agenda_size")
     """High-water mark of the prover's frame agenda (old call-stack depth)."""
 
-    choice_points: int = 0
+    choice_points: int = _stat("choice_points_expanded")
     """Choice points expanded by the agenda core during the attempt."""
 
-    worker: int = -1
+    worker: int = _run(-1)
     """The parallel-engine worker slot that produced the record (-1: serial)."""
 
     variant: str = ""
     """The portfolio variant that produced the record ("" for the serial path)."""
 
-    cached: bool = False
+    cached: bool = _run(False)
     """Was the outcome replayed from a persistent result store?"""
 
     certificate: Optional[dict] = None
@@ -65,7 +95,7 @@ class SolveRecord:
     :func:`repro.proofs.certificate.decode`; independently re-check with
     :func:`repro.proofs.checker.check_certificate` or ``python -m repro check``."""
 
-    certificate_seconds: float = 0.0
+    certificate_seconds: float = _stat("certificate_seconds", 0.0)
     """Wall-clock cost of encoding the certificate (0 when none was emitted)."""
 
     counterexample: Optional[dict] = None
@@ -74,50 +104,126 @@ class SolveRecord:
     :meth:`repro.semantics.falsify.Counterexample.from_dict`; re-check
     independently with :meth:`~repro.semantics.falsify.Counterexample.replay`."""
 
-    falsify_seconds: float = 0.0
+    falsify_seconds: float = _stat("falsification_seconds", 0.0)
     """Wall-clock cost of ground testing (0 when ``falsify_first`` was off)."""
 
-    compile_seconds: float = 0.0
+    compile_seconds: float = _stat("compile_seconds", 0.0)
     """Wall-clock cost of compiling per-symbol match trees observed by the
     attempt's normaliser (0 when ``compile_rules`` was off or everything was
     already compiled)."""
 
-    compiled_steps: int = 0
+    compiled_steps: int = _stat("compiled_steps")
     """Root rewrite steps dispatched through compiled match trees."""
 
-    fallback_steps: int = 0
+    fallback_steps: int = _stat("fallback_steps")
     """Root rewrite steps that fell back to generic matching (declined heads)."""
 
-    hot_symbols: Dict[str, int] = field(default_factory=dict)
+    hot_symbols: Dict[str, int] = _stat("rewrite_head_counts", dict)
     """Rewrite steps per head symbol under compiled dispatch — the attempt's
     hottest functions (trimmed to the top few when crossing the wire)."""
 
-    hints_offered: int = 0
+    hints_offered: int = _stat("hints_offered")
     """Lemma hypotheses supplied to the attempt (library lemmas, human hints)."""
 
-    hint_steps: int = 0
+    hint_steps: int = _stat("hint_steps")
     """(Subst) steps of the final proof that instantiated a supplied hint
     (0 for failures and for proofs that never touched their hints)."""
 
-    queued_seconds: float = 0.0
+    queued_seconds: float = _run(0.0)
     """Wall-clock the goal waited between entering the engine's queue and
     dispatch to a worker — the scheduling share of client-observed latency
     (0 for store replays, the serial runner, and records predating the field).
     """
 
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
+    phase_seconds: Dict[str, float] = _stat("phase_seconds", dict)
     """Exclusive wall-clock seconds per pipeline phase (``soundness`` /
     ``normalise`` / ``match`` / … — see :mod:`repro.search.phases`), feeding
     ``phase_profile_table`` and ``python -m repro profile``.  Empty on records
     replayed from store lines that predate the field."""
 
-    phase_counts: Dict[str, int] = field(default_factory=dict)
+    phase_counts: Dict[str, int] = _stat("phase_counts", dict)
     """Hot-callsite counters: entries per phase, alongside
     :attr:`phase_seconds`."""
 
-    closure_compositions: int = 0
+    closure_compositions: int = _stat("closure_compositions")
     """Size-change graph compositions the attempt's closure performed (0 for
     records replayed from store lines that predate the field)."""
+
+    @classmethod
+    def out_of_scope(cls, problem: BenchmarkProblem) -> "SolveRecord":
+        """A conditional goal the prover does not attempt."""
+        return cls(problem.name, problem.suite, "out-of-scope", reason="conditional goal")
+
+    @classmethod
+    def from_attempt(
+        cls, problem: BenchmarkProblem, outcome: ProofResult, seconds: float
+    ) -> "SolveRecord":
+        """The record of one prover attempt taking ``seconds`` of wall clock."""
+        stats = outcome.statistics
+        if outcome.proved:
+            status = "proved"
+        elif outcome.disproved:
+            status = "disproved"
+        elif problem.goal.is_conditional:
+            # Attempted only for the falsifier, which found no counterexample.
+            status = "out-of-scope"
+        elif stats.timed_out:
+            status = "timeout"
+        else:
+            status = "failed"
+        counters = {f.name: copy(getattr(stats, f.metadata[_STAT])) for f in _STAT_FIELDS}
+        return cls(
+            problem.name,
+            problem.suite,
+            status,
+            seconds=seconds,
+            reason=outcome.reason,
+            # Primitive data by construction: safe to cross process boundaries.
+            certificate=None if outcome.certificate is None else outcome.certificate.to_dict(),
+            counterexample=(
+                None if outcome.counterexample is None else outcome.counterexample.to_dict()
+            ),
+            **counters,
+        )
+
+    def to_wire(self) -> dict:
+        """The record as a primitive payload (worker outcome, store line).
+
+        The goal identity travels beside the payload, and fields holding their
+        default are left out.  Only the hottest rewrite heads are kept (the
+        report ranks a handful of symbols, not the signature), and phase totals
+        are rounded to microseconds to keep store lines compact.
+        """
+        wire = {}
+        for f in _WIRE_FIELDS:
+            value = getattr(self, f.name)
+            if value != _DEFAULTS[f.name]:
+                wire[f.name] = value
+        if self.hot_symbols:
+            hottest = sorted(self.hot_symbols.items(), key=lambda item: -item[1])[:8]
+            wire["hot_symbols"] = dict(hottest)
+        if self.phase_seconds:
+            wire["phase_seconds"] = {
+                phase: round(total, 6) for phase, total in self.phase_seconds.items()
+            }
+        return wire
+
+    @classmethod
+    def from_wire(cls, name: str, suite: str, wire: dict, **provenance) -> "SolveRecord":
+        """Rebuild a record from a :meth:`to_wire` payload or a store line.
+
+        Absent (or null) fields take their defaults, present ones are coerced
+        to their field's type, and ``provenance`` (``variant``, ``cached``)
+        overrides the payload.
+        """
+        values = {}
+        for f in _WIRE_FIELDS:
+            value = wire.get(f.name)
+            if value is not None:
+                values[f.name] = _COERCE[f.name](value)
+        values.setdefault("status", "failed")
+        values.update(provenance)
+        return cls(name, suite, **values)
 
     @property
     def proved(self) -> bool:
@@ -134,6 +240,26 @@ class SolveRecord:
     @property
     def milliseconds(self) -> float:
         return self.seconds * 1000.0
+
+
+_WIRE_FIELDS = tuple(f for f in fields(SolveRecord) if f.name not in ("name", "suite"))
+_STAT_FIELDS = tuple(f for f in _WIRE_FIELDS if _STAT in f.metadata)
+_DEFAULTS = {
+    f.name: f.default_factory() if f.default_factory is not MISSING else f.default
+    for f in _WIRE_FIELDS
+}
+
+
+def _coercion(default):
+    if default is None:  # certificate / counterexample: JSON payloads, kept as they are
+        return lambda value: value
+    return str if default is MISSING else type(default)  # ``status`` has no default
+
+
+_COERCE = {name: _coercion(default) for name, default in _DEFAULTS.items()}
+
+OUTCOME_FIELDS: Tuple[str, ...] = tuple(f.name for f in _WIRE_FIELDS if _RUN not in f.metadata)
+"""The fields a result-store line persists per entry."""
 
 
 @dataclass
@@ -207,6 +333,26 @@ class SuiteResult:
         }
 
 
+def solve_problem(
+    prover: Prover, problem: BenchmarkProblem, hints: Sequence[Equation] = ()
+) -> SolveRecord:
+    """Attempt one problem: the single attempt path of the serial runner and
+    of every engine worker."""
+    if problem.goal.is_conditional and not prover.config.falsify_first:
+        return SolveRecord.out_of_scope(problem)
+    started = time.perf_counter()
+    if problem.goal.is_conditional:
+        # Conditional goals reach the prover only for the falsifier:
+        # ``prove_goal`` tests the premised goal and otherwise reports it out
+        # of scope.
+        outcome = prover.prove_goal(problem.goal)
+    else:
+        outcome = prover.prove(
+            problem.goal.equation, goal_name=problem.name, hypotheses=tuple(hints)
+        )
+    return SolveRecord.from_attempt(problem, outcome, time.perf_counter() - started)
+
+
 def run_suite(
     problems: Sequence[BenchmarkProblem],
     config: Optional[ProverConfig] = None,
@@ -232,70 +378,8 @@ def run_suite(
         prover = provers.get(fingerprint)
         if prover is None:
             prover = provers[fingerprint] = Prover(problem.program, config)
-        if problem.goal.is_conditional and not config.falsify_first:
-            record = SolveRecord(
-                name=problem.name,
-                suite=problem.suite,
-                status="out-of-scope",
-                reason="conditional goal",
-            )
-        else:
-            hints = tuple(hypotheses.get(problem.name, ())) if hypotheses else ()
-            started = time.perf_counter()
-            if problem.goal.is_conditional:
-                # Conditional goals reach the prover only for the falsifier:
-                # ``prove_goal`` tests the premised goal and otherwise reports
-                # it out of scope exactly as before.
-                outcome: ProofResult = prover.prove_goal(problem.goal)
-            else:
-                outcome = prover.prove(
-                    problem.goal.equation, goal_name=problem.name, hypotheses=hints
-                )
-            elapsed = time.perf_counter() - started
-            if outcome.proved:
-                status = "proved"
-            elif outcome.disproved:
-                status = "disproved"
-            elif problem.goal.is_conditional:
-                status = "out-of-scope"
-            elif outcome.statistics.timed_out:
-                status = "timeout"
-            else:
-                status = "failed"
-            record = SolveRecord(
-                name=problem.name,
-                suite=problem.suite,
-                status=status,
-                seconds=elapsed,
-                nodes=outcome.statistics.nodes_created,
-                subst_attempts=outcome.statistics.subst_attempts,
-                soundness_violations=outcome.statistics.soundness_violations,
-                normalizer_hits=outcome.statistics.normalizer_hits,
-                normalizer_misses=outcome.statistics.normalizer_misses,
-                reason=outcome.reason,
-                strategy=outcome.statistics.strategy,
-                max_agenda_size=outcome.statistics.max_agenda_size,
-                choice_points=outcome.statistics.choice_points_expanded,
-                certificate=(
-                    outcome.certificate.to_dict() if outcome.certificate is not None else None
-                ),
-                certificate_seconds=outcome.statistics.certificate_seconds,
-                counterexample=(
-                    outcome.counterexample.to_dict()
-                    if outcome.counterexample is not None
-                    else None
-                ),
-                falsify_seconds=outcome.statistics.falsification_seconds,
-                compile_seconds=outcome.statistics.compile_seconds,
-                compiled_steps=outcome.statistics.compiled_steps,
-                fallback_steps=outcome.statistics.fallback_steps,
-                hot_symbols=dict(outcome.statistics.rewrite_head_counts),
-                hints_offered=outcome.statistics.hints_offered,
-                hint_steps=outcome.statistics.hint_steps,
-                phase_seconds=dict(outcome.statistics.phase_seconds),
-                phase_counts=dict(outcome.statistics.phase_counts),
-                closure_compositions=outcome.statistics.closure_compositions,
-            )
+        hints = hypotheses.get(problem.name, ()) if hypotheses else ()
+        record = solve_problem(prover, problem, hints)
         result.records.append(record)
         if progress is not None:
             progress(record)

@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..engine.scheduler import STATUS_REJECTED, WorkerPool
 from ..engine.store import ResultStore, StoreLockError, config_fingerprint
 from ..engine.suite import goal_store_equation, solve_suite
+from ..harness.runner import SolveRecord
 from ..obs.histogram import OP_CLASSES, LatencyHistogram
 from ..obs.trace import DEFAULT_TRACE_MAX_BYTES, Tracer, mint_span_id, mint_trace_id, span_record
 from ..search.config import ProverConfig
@@ -760,48 +761,35 @@ class ProofService:
         headroom = max_inflight - inflight if max_inflight > 0 else None
         admitted: list = []
         rejected: List[dict] = []
+
+        def reject(problem, reason: str) -> None:
+            record = SolveRecord(
+                problem.name, problem.suite, STATUS_REJECTED, variant="default", reason=reason
+            )
+            rejected.append(self._verdict_payload(record, {}))
+
         for problem in problems:
             if self._replayable(state, problem, config_fp):
                 admitted.append(problem)
                 continue
             if cpu_budget > 0.0 and cpu_used >= cpu_budget:
-                rejected.append(
-                    self._rejected_payload(
-                        problem,
-                        f"budget: client {client!r} used {cpu_used:.1f}s of its "
-                        f"{cpu_budget:.1f}s cpu budget",
-                    )
+                reject(
+                    problem,
+                    f"budget: client {client!r} used {cpu_used:.1f}s of its "
+                    f"{cpu_budget:.1f}s cpu budget",
                 )
                 continue
             if headroom is not None and headroom <= 0:
-                rejected.append(
-                    self._rejected_payload(
-                        problem,
-                        f"budget: client {client!r} is at its in-flight limit "
-                        f"({max_inflight} goal(s))",
-                    )
+                reject(
+                    problem,
+                    f"budget: client {client!r} is at its in-flight limit "
+                    f"({max_inflight} goal(s))",
                 )
                 continue
             if headroom is not None:
                 headroom -= 1
             admitted.append(problem)
         return admitted, rejected
-
-    @staticmethod
-    def _rejected_payload(problem, reason: str) -> dict:
-        return {
-            "op": "verdict",
-            "goal": problem.name,
-            "suite": problem.suite,
-            "status": STATUS_REJECTED,
-            "seconds": 0.0,
-            "queued_seconds": 0.0,
-            "cached": False,
-            "variant": "default",
-            "hints_offered": 0,
-            "hint_steps": 0,
-            "reason": reason,
-        }
 
     def _prover_config(self, request: dict) -> ProverConfig:
         # emit_proofs always: the store must hold certificates for the client

@@ -376,6 +376,18 @@ class TestReport:
         out = capsys.readouterr().out
         assert "isaplanner" in out and "solved" in out
 
+    def test_report_keeps_hint_accounting(self, tmp_path):
+        from repro.cli import _records_from_store
+        from repro.engine import ResultStore
+
+        store = ResultStore(str(tmp_path / "store.jsonl"))
+        key = ResultStore.make_key("prog", "isaplanner/prop_54", "eq", "cfg")
+        store.put(key, {"status": "proved", "variant": "default",
+                        "hints_offered": 2, "hint_steps": 1})
+        (record,) = _records_from_store(store, None)["isaplanner"]
+        assert (record.hints_offered, record.hint_steps) == (2, 1)
+        assert record.cached and record.variant == "default"
+
     def test_report_missing_store_is_an_error(self, tmp_path, capsys):
         assert main(["report", "--store", str(tmp_path / "nope.jsonl")]) == 2
         assert "does not exist" in capsys.readouterr().err

@@ -99,6 +99,19 @@ class TestRunSuiteParallel:
         assert [(r.name, r.status) for r in parallel.records] == [
             (r.name, r.status) for r in serial_result.records
         ]
+        # Both paths build records through one constructor, so the search
+        # counters of a proved goal agree field for field.
+        compared = (
+            "status", "nodes", "subst_attempts", "soundness_violations",
+            "closure_compositions", "strategy", "max_agenda_size", "choice_points",
+        )
+        proved = [r for r in serial_result.records if r.proved]
+        assert proved
+        for serial in proved:
+            record = parallel.record(serial.name)
+            assert [getattr(record, f) for f in compared] == [
+                getattr(serial, f) for f in compared
+            ], serial.name
 
     def test_summary_counts_match_serial(self, subset_problems, serial_result):
         parallel = run_suite_parallel(

@@ -600,6 +600,36 @@ class TestConcurrentClients:
         finally:
             service.close()
 
+    def test_rejected_verdict_line_keeps_its_shape(self, tmp_path):
+        """Rejected verdicts come from the one verdict builder, yet the line a
+        client receives keeps its keys, their order and their values."""
+        service = make_service(tmp_path, client_cpu_budget=1.0)
+        try:
+            service._client_cpu["pauper"] = 2.0
+            events = submit(
+                service, suite="isaplanner", client="pauper",
+                conjectures=[{"name": "p1", "equation": "add Z a === a"}],
+            )
+            line = verdict(events, "p1")
+            expected = {
+                "op": "verdict",
+                "goal": "p1",
+                "suite": line["suite"],
+                "status": "rejected",
+                "seconds": 0.0,
+                "queued_seconds": 0.0,
+                "cached": False,
+                "variant": "default",
+                "hints_offered": 0,
+                "hint_steps": 0,
+                "reason": "budget: client 'pauper' used 2.0s of its 1.0s cpu budget",
+                "trace": line["trace"],
+            }
+            assert list(line.items()) == list(expected.items())
+            assert service.pool.snapshot()["dispatched"] == 0
+        finally:
+            service.close()
+
     def test_cpu_budget_rejects_new_work_but_replays_stay_free(self, tmp_path):
         service = make_service(tmp_path, client_cpu_budget=1e-6)
         try:
