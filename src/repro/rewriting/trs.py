@@ -19,9 +19,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.exceptions import RewriteError
 from ..core.signature import Signature
-from ..core.terms import Sym, Term, Var, spine
-from ..core.types import DataTy, Type, TypeVar, arg_types
+from ..core.terms import Term
+from ..core.types import arg_types
 from .index import RuleIndex
+from .matchtree import MatchCompilationDeclined, is_exhaustive, match_tree
 from .rules import RewriteRule
 
 __all__ = ["RewriteSystem", "CompletenessReport"]
@@ -155,17 +156,15 @@ class RewriteSystem:
             if not rules:
                 missing.append(f"{name}: no defining rules")
                 continue
+            try:
+                tree = match_tree(self.signature, name, rules)
+            except MatchCompilationDeclined as declined:
+                missing.append(str(declined))
+                continue
             declared_args = arg_types(self.signature.symbol_type(name))
-            arity = max(len(rule.patterns) for rule in rules)
-            if any(len(rule.patterns) != arity for rule in rules):
-                missing.append(f"{name}: rules disagree on arity")
-                continue
-            rows = [rule.patterns for rule in rules]
-            col_types = tuple(declared_args[:arity])
-            if len(col_types) < arity:
+            if len(declared_args) < len(rules[0].patterns):
                 missing.append(f"{name}: declared type has fewer arguments than its rules")
-                continue
-            if not self._covers(rows, col_types):
+            elif not is_exhaustive(self.signature, tree):
                 missing.append(f"{name}: patterns do not cover all constructor combinations")
         return CompletenessReport(complete=not missing, missing=missing)
 
@@ -178,42 +177,6 @@ class RewriteSystem:
         report = self.completeness_report()
         if not report:
             raise RewriteError("rewrite system is not complete: " + "; ".join(report.missing))
-
-    def _covers(self, rows: Sequence[Tuple[Term, ...]], col_types: Tuple[Type, ...]) -> bool:
-        """Do the pattern rows cover every closed constructor instance?"""
-        if not rows:
-            return False
-        for row in rows:
-            if all(isinstance(p, Var) for p in row):
-                return True
-        # Pick the first column in which some row demands a constructor.
-        column = None
-        for j in range(len(col_types)):
-            if any(not isinstance(row[j], Var) for row in rows):
-                column = j
-                break
-        if column is None:
-            return False
-        ty = col_types[column]
-        if not isinstance(ty, DataTy):
-            # Cannot exhaustively match constructors at a non-datatype position.
-            return False
-        constructors = self.signature.instantiate_constructors(ty)
-        for con_name, con_arg_types in constructors:
-            new_rows: List[Tuple[Term, ...]] = []
-            for row in rows:
-                pattern = row[column]
-                if isinstance(pattern, Var):
-                    wildcards = tuple(Var(f"_w{i}", t) for i, t in enumerate(con_arg_types))
-                    new_rows.append(row[:column] + wildcards + row[column + 1:])
-                else:
-                    head, args = spine(pattern)
-                    if isinstance(head, Sym) and head.name == con_name:
-                        new_rows.append(row[:column] + tuple(args) + row[column + 1:])
-            new_types = col_types[:column] + tuple(con_arg_types) + col_types[column + 1:]
-            if not self._covers(new_rows, new_types):
-                return False
-        return True
 
     # -- orthogonality ------------------------------------------------------------------
 

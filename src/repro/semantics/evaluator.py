@@ -12,11 +12,11 @@ This module compiles the program once and then answers the narrow question
 directly:
 
 * Each defined function's rewrite rules become one **pattern-match decision
-  tree** (Maranget-style): a chain of constructor switches over argument
-  *occurrences* ending in a leaf that binds variable slots and names the
-  compiled right-hand side.  Matching a call is then a handful of tuple
-  indexing operations — no rule index lookups, no generic matching, no
-  substitution objects.
+  tree** (Maranget-style, built by :mod:`repro.rewriting.matchtree`): a
+  chain of constructor switches over argument *occurrences* ending in a leaf
+  that binds variable slots and names the compiled right-hand side.
+  Matching a call is then a handful of tuple indexing operations — no rule
+  index lookups, no generic matching, no substitution objects.
 * Ground **values** are plain Python tuples ``(constructor, arg_value, ...)``
   (partial applications are the rare :class:`Closure`), and they are
   **hash-consed** exactly like the term core: structurally equal values are
@@ -49,6 +49,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from ..core.exceptions import CycleQError
 from ..core.terms import Sym, Term, Var, apply_term, spine
+from ..rewriting.matchtree import FAIL, LEAF, SWITCH, MatchCompilationDeclined, match_tree
 
 __all__ = [
     "Evaluator",
@@ -214,19 +215,13 @@ def render_value(value: Value) -> str:
 # pairs in order (excluding the complex one) and `pos` is the complex child's
 # argument position.
 #
-# Decision trees:
-#   (T_LEAF, fetchers, rhs_expr)       fetchers: occurrence paths building the
-#                                      callee environment, rhs compiled against
-#                                      exactly those slots
-#   (T_SWITCH, path, cases, default)   branch on the constructor tag at `path`
-#   (T_FAIL,)                          no rule matches: stuck
-#
-# An occurrence path (i, j, k, ...) selects argument i of the call, then child
-# j of that value, then child k, ... — children are 0-based, offset by one in
-# the value tuples because slot 0 holds the constructor tag.
+# Decision trees are `repro.rewriting.matchtree` trees whose switch cases map
+# each constructor straight to its subtree, and whose leaves are
+#   (LEAF, fetchers, rhs_expr)   fetchers: occurrence paths filling the callee
+#                                environment; rhs compiled against those slots
+# Child j of an occurrence is slot j + 1 of a value tuple (slot 0 is the tag).
 
 E_VAR, E_CON, E_CALL, E_PAPP, E_APPLY, E_LIT, E_CON1, E_CALL1 = 0, 1, 2, 3, 4, 5, 6, 7
-T_LEAF, T_SWITCH, T_FAIL = 0, 1, 2
 
 # Work-stack opcodes of the iterative machine.
 _EVAL, _MKCON, _CALL, _MKCLOSURE, _APPLY, _MEMOIZE, _MKCON1, _CALL1 = range(8)
@@ -296,15 +291,12 @@ class Evaluator:
         self._term_pins: List[Term] = []
         self._remaining = max_calls
         for name, fn_rules in grouped.items():
-            arities = {len(spine(rule.lhs)[1]) for rule in fn_rules}
-            if len(arities) != 1:
-                raise CompilationError(
-                    f"{name}: rules disagree on arity ({sorted(arities)}); "
-                    "not an elaborated functional program"
-                )
-            arity = arities.pop()
-            self._fn_arity[name] = arity
-            self._trees[name] = self._compile_function(name, fn_rules, arity)
+            try:
+                tree = match_tree(signature, name, fn_rules)
+            except MatchCompilationDeclined as declined:
+                raise CompilationError(str(declined)) from None
+            self._fn_arity[name] = len(fn_rules[0].patterns)
+            self._trees[name] = self._runtime_tree(name, tree)
 
     @classmethod
     def for_program(cls, program) -> "Evaluator":
@@ -615,7 +607,7 @@ class Evaluator:
             return cached
         result = None
         tree = self._trees.get(name)
-        if tree is not None and tree[0] == T_SWITCH and len(tree[1]) == 1:
+        if tree is not None and tree[0] == SWITCH and len(tree[1]) == 1:
             scrutinee_index = tree[1][0]
             branch_table: Dict[str, object] = {}
             ok = True
@@ -640,7 +632,7 @@ class Evaluator:
     @staticmethod
     def _projected_target(node: tuple):
         """What a leaf projects to: an argument index, ``("lit", v)``, or ``None``."""
-        if node[0] != T_LEAF:
+        if node[0] != LEAF:
             return None
         fetchers, rhs_expr = node[1], node[2]
         if rhs_expr[0] == E_LIT:
@@ -658,12 +650,12 @@ class Evaluator:
         are flattened to bare ints so the hot walk skips the path loop.
         """
         kind = node[0]
-        if kind == T_LEAF:
+        if kind == LEAF:
             fetchers = tuple(
                 path[0] if len(path) == 1 else path for path in node[1]
             )
             return (0, fetchers, self._fn_for_expr(node[2]))
-        if kind == T_SWITCH:
+        if kind == SWITCH:
             path = node[1][0] if len(node[1]) == 1 else node[1]
             cases = {
                 constructor: self._compile_ctree(subtree)
@@ -695,92 +687,25 @@ class Evaluator:
 
     # -- compilation: decision trees -----------------------------------------
 
-    def _compile_function(self, name: str, rules: List, arity: int) -> tuple:
-        rows = []
-        for rule in rules:
-            if not rule.is_left_linear():
+    def _runtime_tree(self, name: str, node: tuple) -> tuple:
+        """Convert a :func:`~repro.rewriting.matchtree.match_tree` node into
+        the runtime layout, compiling each leaf's right-hand side against the
+        slots its bindings fill."""
+        if node[0] == LEAF:
+            _, bindings, rhs = node
+            slots = {var: slot for slot, var in enumerate(bindings)}
+            return (LEAF, tuple(bindings.values()), self.compile(rhs, slots))
+        _, path, cases, default = node
+        runtime_cases: Dict[str, tuple] = {}
+        for constructor, (nargs, subtree) in cases.items():
+            if nargs != self._con_arity[constructor]:
                 raise CompilationError(
-                    f"{name}: rule {rule} is not left-linear; decision trees "
-                    "cannot express the implied equality test"
+                    f"{name}: constructor {constructor} is matched at {nargs} arguments"
                 )
-            _, patterns = spine(rule.lhs)
-            columns = [((index,), pattern) for index, pattern in enumerate(patterns)]
-            rows.append((columns, {}, rule.rhs))
-        return self._compile_matrix(name, rows)
-
-    def _compile_matrix(self, fn_name: str, rows: List) -> tuple:
-        if not rows:
-            return (T_FAIL,)
-        columns, bindings, rhs = rows[0]
-        split = next(
-            (i for i, (_, p) in enumerate(columns) if p is not None and not isinstance(p, Var)),
-            None,
-        )
-        if split is None:
-            # First row matches unconditionally: bind its variables and stop —
-            # later rows are unreachable here (orthogonal programs have at most
-            # one matching rule anyway).
-            leaf_bindings = dict(bindings)
-            for path, pattern in columns:
-                if pattern is not None:
-                    leaf_bindings[pattern.name] = path
-            slots = {var: slot for slot, var in enumerate(leaf_bindings)}
-            fetchers = tuple(leaf_bindings[var] for var in leaf_bindings)
-            rhs_expr = self.compile(rhs, slots)
-            return (T_LEAF, fetchers, rhs_expr)
-        path = columns[split][0]
-        constructors: List[str] = []
-        for row_columns, _, _ in rows:
-            pattern = next((p for o, p in row_columns if o == path), None)
-            if pattern is None or isinstance(pattern, Var):
-                continue
-            head, _ = spine(pattern)
-            if not isinstance(head, Sym) or not self.signature.is_constructor(head.name):
-                raise CompilationError(
-                    f"{fn_name}: pattern {pattern} is not a constructor pattern"
-                )
-            if head.name not in constructors:
-                constructors.append(head.name)
-        cases: Dict[str, tuple] = {}
-        for constructor in constructors:
-            sub_rows = []
-            for row_columns, row_bindings, row_rhs in rows:
-                new_row = self._specialise(row_columns, row_bindings, path, constructor)
-                if new_row is not None:
-                    sub_rows.append((new_row[0], new_row[1], row_rhs))
-            cases[constructor] = self._compile_matrix(fn_name, sub_rows)
-        default_rows = []
-        for row_columns, row_bindings, row_rhs in rows:
-            pattern = next((p for o, p in row_columns if o == path), None)
-            if pattern is None or isinstance(pattern, Var):
-                new_bindings = dict(row_bindings)
-                if pattern is not None:
-                    new_bindings[pattern.name] = path
-                new_columns = [(o, p) for o, p in row_columns if o != path]
-                default_rows.append((new_columns, new_bindings, row_rhs))
-        default = self._compile_matrix(fn_name, default_rows) if default_rows else None
-        return (T_SWITCH, path, cases, default)
-
-    def _specialise(self, columns, bindings, path, constructor):
-        """One row of the matrix specialised to ``constructor`` at ``path``."""
-        new_columns = []
-        new_bindings = dict(bindings)
-        for occurrence, pattern in columns:
-            if occurrence != path:
-                new_columns.append((occurrence, pattern))
-                continue
-            if pattern is None or isinstance(pattern, Var):
-                if pattern is not None:
-                    new_bindings[pattern.name] = occurrence
-                for index in range(self._con_arity[constructor]):
-                    new_columns.append((occurrence + (index,), None))
-                continue
-            head, sub_patterns = spine(pattern)
-            if head.name != constructor:
-                return None
-            for index, sub_pattern in enumerate(sub_patterns):
-                new_columns.append((occurrence + (index,), sub_pattern))
-        return new_columns, new_bindings
+            runtime_cases[constructor] = self._runtime_tree(name, subtree)
+        if default is not None:
+            default = self._runtime_tree(name, default)
+        return (SWITCH, path, runtime_cases, default)
 
     # -- compilation: expressions --------------------------------------------
 
@@ -834,7 +759,7 @@ class Evaluator:
             # the decision-tree lookup reports at run time.
             arity, is_constructor = len(children), False
             self._fn_arity[name] = arity
-            self._trees[name] = (T_FAIL,)
+            self._trees[name] = (FAIL,)
         else:
             raise CompilationError(f"unknown symbol {name}")
         all_literal = all(c[0] == E_LIT for c in children)
@@ -1175,7 +1100,7 @@ class Evaluator:
     def _match(self, name: str, args: Tuple[Value, ...]) -> Tuple[tuple, List[Value]]:
         """Match one call against its decision tree: (rhs expression, environment)."""
         node = self._trees[name]
-        while node[0] == T_SWITCH:
+        while node[0] == SWITCH:
             scrutinee = _fetch(args, node[1])
             if type(scrutinee) is not tuple:
                 raise StuckEvaluation(
@@ -1189,7 +1114,7 @@ class Evaluator:
                     f"{name} is not defined on constructor {scrutinee[0]}"
                 )
             node = branch
-        if node[0] == T_FAIL:
+        if node[0] == FAIL:
             raise StuckEvaluation(f"{name} has no rule matching its arguments")
         _, fetchers, rhs_expr = node
         return rhs_expr, [_fetch(args, path) for path in fetchers]

@@ -22,6 +22,7 @@ from repro.rewriting.rules import RewriteRule
 from repro.rewriting.trs import RewriteSystem
 from repro.search.config import ProverConfig
 from repro.search.prover import Prover
+from repro.semantics.evaluator import CompilationError, Evaluator
 
 NAT = DataTy("Nat")
 A = TypeVar("a")
@@ -147,18 +148,38 @@ class TestDeclarationOrder:
 
 
 class TestDeclines:
+    """Every rule shape outside the match compiler's fragment is declined by
+    each of its consumers: compiled dispatch falls back to generic matching
+    for the head, the ground evaluator refuses the system, and the
+    completeness check reports the head."""
+
     def _compiled(self, system):
         return CompiledRewriteSystem.for_system(system, current_bank())
 
-    def test_non_left_linear_rule_declines_head(self, nat_program):
+    @pytest.fixture(params=["compiled-dispatch", "evaluator", "completeness"])
+    def assert_declined(self, request):
+        def check(system, head):
+            if request.param == "compiled-dispatch":
+                compiled = self._compiled(system)
+                assert compiled.matcher_for(head) is None
+                assert compiled.declined_heads == 1
+            elif request.param == "evaluator":
+                with pytest.raises(CompilationError):
+                    Evaluator(system.signature, system.rules)
+            else:
+                report = system.completeness_report(head)
+                assert not report.complete
+                assert [issue.split(":")[0] for issue in report.missing] == [head]
+
+        return check
+
+    def test_non_left_linear_rule_declines_head(self, nat_program, assert_declined):
         system = RewriteSystem(nat_program.rules.signature)
         x = Var("x", NAT)
         system.add_rule(
             RewriteRule(apply_term(Sym("eqq"), x, x), Sym("Z")), validate=False
         )
-        compiled = self._compiled(system)
-        assert compiled.matcher_for("eqq") is None
-        assert compiled.declined_heads == 1
+        assert_declined(system, "eqq")
         # The normaliser transparently falls back and still reduces it.
         normalizer = Normalizer(system, compile_rules=True)
         assert normalizer.normalize(apply_term(Sym("eqq"), num(2), num(2))) == Sym("Z")
@@ -166,36 +187,36 @@ class TestDeclines:
         assert normalizer.compiled_steps == 0
         assert normalizer.head_steps == {"eqq": 1}
 
-    def test_arity_disagreement_declines_head(self, nat_program):
+    def test_arity_disagreement_declines_head(self, nat_program, assert_declined):
         system = RewriteSystem(nat_program.rules.signature)
         x, y = Var("x", NAT), Var("y", NAT)
         system.add_rule(RewriteRule(apply_term(Sym("h"), x), x), validate=False)
         system.add_rule(RewriteRule(apply_term(Sym("h"), x, y), x), validate=False)
-        assert self._compiled(system).matcher_for("h") is None
+        assert_declined(system, "h")
 
-    def test_defined_symbol_in_pattern_declines_head(self, nat_program):
+    def test_defined_symbol_in_pattern_declines_head(self, nat_program, assert_declined):
         system = RewriteSystem(nat_program.rules.signature)
         x, y = Var("x", NAT), Var("y", NAT)
         lhs = apply_term(Sym("k"), apply_term(Sym("add"), x, y))
         system.add_rule(RewriteRule(lhs, x), validate=False)
-        assert self._compiled(system).matcher_for("k") is None
+        assert_declined(system, "k")
 
-    def test_variable_headed_pattern_declines_head(self, nat_program):
+    def test_variable_headed_pattern_declines_head(self, nat_program, assert_declined):
         system = RewriteSystem(nat_program.rules.signature)
         applied_var = App(Var("f", A), Var("y", NAT))
         system.add_rule(
             RewriteRule(apply_term(Sym("k2"), applied_var), Sym("Z")), validate=False
         )
-        assert self._compiled(system).matcher_for("k2") is None
+        assert_declined(system, "k2")
 
-    def test_unbound_rhs_variable_declines_head(self, nat_program):
+    def test_unbound_rhs_variable_declines_head(self, nat_program, assert_declined):
         system = RewriteSystem(nat_program.rules.signature)
         system.add_rule(
             RewriteRule(apply_term(Sym("u"), Sym("Z")), Var("x", NAT)), validate=False
         )
-        assert self._compiled(system).matcher_for("u") is None
+        assert_declined(system, "u")
 
-    def test_constructor_at_two_arities_declines_head(self, list_program):
+    def test_constructor_at_two_arities_declines_head(self, list_program, assert_declined):
         system = RewriteSystem(list_program.rules.signature)
         x = Var("x", NAT)
         xs = Var("xs", DataTy("List", (NAT,)))
@@ -207,7 +228,7 @@ class TestDeclines:
             RewriteRule(apply_term(Sym("p"), apply_term(Sym("Cons"), x, xs)), Sym("Z")),
             validate=False,
         )
-        assert self._compiled(system).matcher_for("p") is None
+        assert_declined(system, "p")
 
     def test_rule_less_head_never_matches(self, nat_program):
         compiled = self._compiled(nat_program.rules)

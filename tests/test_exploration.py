@@ -134,8 +134,13 @@ class TestCandidateFalsification:
         monkeypatch.setattr(
             explorer_module, "candidate_equations", lambda program, config: [false_candidate]
         )
+        # The goal is provable directly (dfs needs ~900 nodes), so a wall-clock
+        # budget alone lets a fast host prove it before exploration starts.  A
+        # node budget below the proof makes the direct attempt fail everywhere.
         explorer = TheoryExplorer(
-            nat_program, ExplorationConfig(total_budget=5.0, lemma_timeout=0.2)
+            nat_program,
+            ExplorationConfig(total_budget=5.0, lemma_timeout=0.2),
+            prover_config=ProverConfig(max_nodes=400),
         )
         unprovable = nat_program.parse_equation("add x y === add y (add x Z)")
         outcome = explorer.prove(unprovable)

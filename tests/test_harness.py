@@ -25,7 +25,9 @@ def small_suite_result():
     problems = [p for p in isaplanner_problems() if p.name in {
         "prop_01", "prop_05", "prop_11", "prop_40", "prop_46", "prop_54",
     }]
-    return run_suite(problems, ProverConfig(timeout=1.5), suite_name="subset")
+    # The node budget is out of reach in 1.5 s on any host, so prop_54 always
+    # stops on the wall clock (``timeout``) rather than on nodes (``failed``).
+    return run_suite(problems, ProverConfig(timeout=1.5, max_nodes=10**7), suite_name="subset")
 
 
 class TestRunner:
